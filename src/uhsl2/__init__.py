@@ -12,13 +12,11 @@ from .algebra import (
     Element,
     IntegralityViolation,
     NormalMonomial,
-    ProductIndexAssignment,
     exp_series,
     mono_star_mono,
     normal_order_yx,
     normal_order_zx,
     normal_order_zy,
-    product_index_assignments,
     star,
     structural_coefficient,
 )

@@ -2,10 +2,15 @@
 
 An element is a finitely supported map from normal monomials (a, b, c, d),
 standing for x^a y^b z^c h^d / (a! b! c! d!), to exact rationals.  The star
-product of two such monomials is a finite signed sum over index assignments;
-``product_index_assignments`` enumerates them and ``mono_star_mono``
-accumulates the summands.  Coefficients of monomial-by-monomial products are
-always integers; ``structural_coefficient`` enforces that.
+product of two such monomials is the paper's closed formula, a finite signed
+sum over 13-index assignments.  ``mono_star_mono`` evaluates it in stages:
+an output monomial collects the summands with one value of rho3 and of
+rho4 + rho5 + rho6, and after two factorial cancellations the sums for one
+rho3 are the coefficients of one small polynomial product.  The literal
+13-index sum is kept as the test reference in ``tests/reference_formula.py``.
+Coefficients of monomial-by-monomial products are always integers; the
+kernel checks its exact divisions and ``structural_coefficient`` checks the
+result.
 
 The rewrite and species routes take only the ``Element`` container (with its
 ``NormalMonomial`` keys) from here; species calls ``star`` solely to build the
@@ -17,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .combinatorics import falling_factorial, shifted_elem
 
@@ -54,101 +59,85 @@ class NormalMonomial(NamedTuple):
 UNIT = NormalMonomial(0, 0, 0, 0)
 
 
-class ProductIndexAssignment(NamedTuple):
-    """One summand of the closed product formula.
-
-    The thirteen indices split the output exponents: alpha1 + alpha2 = alpha,
-    beta_f + beta_g + beta_c = beta, gamma1 + gamma2 = gamma, rho1 + ... +
-    rho6 = rho, with the linking constraint beta_c + rho4 = rho3.  beta_f and
-    beta_g are the y-blocks surviving from the two factors; beta_c is the
-    block created by z-x commutation.
-    """
-
-    alpha1: int
-    alpha2: int
-    beta_f: int
-    beta_g: int
-    beta_c: int
-    gamma1: int
-    gamma2: int
-    rho1: int
-    rho2: int
-    rho3: int
-    rho4: int
-    rho5: int
-    rho6: int
-
-    @property
-    def output(self) -> NormalMonomial:
-        return NormalMonomial(
-            self.alpha1 + self.alpha2,
-            self.beta_f + self.beta_g + self.beta_c,
-            self.gamma1 + self.gamma2,
-            self.rho1 + self.rho2 + self.rho3 + self.rho4 + self.rho5 + self.rho6,
-        )
-
-    def summand(self) -> int:
-        """The exact integer contribution of this assignment."""
-        alpha, beta, gamma, rho = self.output
-        return (
-            (-1) ** self.rho3
-            * multinomial(alpha, (self.alpha1, self.alpha2))
-            * multinomial(beta, (self.beta_f, self.beta_g, self.beta_c))
-            * multinomial(gamma, (self.gamma1, self.gamma2))
-            * multinomial(rho, (self.rho1, self.rho2, self.rho3,
-                                self.rho4, self.rho5, self.rho6))
-            * (2 * self.alpha2) ** self.rho5
-            * (2 * self.gamma1) ** self.rho6
-            * factorial(self.beta_c)
-            * factorial(self.rho4)
-            * shifted_elem(self.gamma1 + self.alpha2, self.rho4, self.rho3)
-        )
-
-
-def multinomial(total: int, parts: tuple[int, ...]) -> int:
-    """Exact multinomial coefficient total! / (parts[0]! parts[1]! ...)."""
-    out, rem = 1, total
-    for p in parts:
-        out *= comb(rem, p)
-        rem -= p
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    """Coefficient list of the product of two polynomials in t."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q):
+                out[i + j] += x * y
     return out
-
-
-def product_index_assignments(
-    m1: NormalMonomial, m2: NormalMonomial
-) -> Iterator[ProductIndexAssignment]:
-    """All index assignments consistent with the factor monomials m1, m2.
-
-    m1 plays the left role, so its exponents pin alpha1 = m1.a,
-    beta_f + rho5 = m1.b, gamma1 + rho3 = m1.c, rho1 = m1.d; m2 pins
-    alpha2 + rho3 = m2.a, beta_g + rho6 = m2.b, gamma2 = m2.c, rho2 = m2.d.
-    rho3 (bounded by min(m1.c, m2.a)), rho4 <= rho3, rho5 and rho6 range
-    freely; everything else is forced.
-    """
-    a1, b1, c1, d1 = m1
-    a2, b2, c2, d2 = m2
-    for rho3 in range(min(c1, a2) + 1):
-        for rho4 in range(rho3 + 1):
-            for rho5 in range(b1 + 1):
-                for rho6 in range(b2 + 1):
-                    yield ProductIndexAssignment(
-                        alpha1=a1, alpha2=a2 - rho3,
-                        beta_f=b1 - rho5, beta_g=b2 - rho6, beta_c=rho3 - rho4,
-                        gamma1=c1 - rho3, gamma2=c2,
-                        rho1=d1, rho2=d2, rho3=rho3, rho4=rho4,
-                        rho5=rho5, rho6=rho6,
-                    )
 
 
 @lru_cache(maxsize=None)
 def _mono_star(m1: NormalMonomial, m2: NormalMonomial) -> dict[NormalMonomial, int]:
+    """The closed product formula for m1 * m2, summed in stages.
+
+    The formula is a signed sum over 13-index assignments; m1 and m2 leave
+    rho3 <= min(c1, a2), rho4 <= rho3, rho5 <= b1 and rho6 <= b2 free and
+    force the rest, with alpha2 = a2 - rho3 and gamma1 = c1 - rho3.  Once
+    beta_c! and rho4! cancel against the multinomials, a summand reads
+
+        (-1)^rho3 C(alpha, a1) C(gamma, c2) beta! rho! / (b1! b2! d1! d2! rho3!)
+            * C(b1, rho5) (2 alpha2)^rho5 * C(b2, rho6) (2 gamma1)^rho6
+            * (alpha2 + gamma1)^rho4_rho3
+
+    and its output monomial depends on rho3 and u = rho4 + rho5 + rho6 only.
+    So for each rho3 the sum over (rho4, rho5, rho6) is beta! rho! / (b1! b2!
+    d1! d2! rho3!) times the coefficient of t^u in
+
+        (1 + 2 alpha2 t)^b1 (1 + 2 gamma1 t)^b2
+            * prod_{i < rho3} (1 + (alpha2 + gamma1 + i) t),
+
+    whose last factor has the symbols (alpha2 + gamma1)^rho4_rho3 as its
+    coefficients.  Each division is exact; a remainder raises
+    ``IntegralityViolation``.
+    """
+    a1, b1, c1, d1 = m1
+    a2, b2, c2, d2 = m2
+    top = min(c1, a2)
+    fact = [1]
+    for i in range(1, b1 + b2 + d1 + d2 + 2 * top + 1):
+        fact.append(fact[-1] * i)
+    fixed = fact[b1] * fact[b2] * fact[d1] * fact[d2]
+    shift = a2 + c1
+    # symbols[r] = (alpha2 + gamma1)^r_rho3, the coefficients of the product of
+    # (1 + v t) over v = shift - 2 rho3 .. shift - rho3 - 1; from one rho3 to
+    # the next, two factors join at the bottom and one leaves at the top
+    symbols = [1]
     out: dict[NormalMonomial, int] = {}
-    for asg in product_index_assignments(m1, m2):
-        term = asg.summand()
-        if term:
-            key = asg.output
-            out[key] = out.get(key, 0) + term
-    return {k: v for k, v in out.items() if v}
+    for rho3 in range(top + 1):
+        if rho3:
+            for v in (shift - 2 * rho3, shift - 2 * rho3 + 1):
+                symbols = [x + v * y for x, y in zip(symbols + [0], [0] + symbols)]
+            v = shift - rho3   # divide out (1 + v t) by synthetic division
+            quotient, carry = [], 0
+            for x in symbols[:-1]:
+                carry = x - v * carry
+                quotient.append(carry)
+            if symbols[-1] != v * carry:
+                raise IntegralityViolation(
+                    f"symbol row of {tuple(m1)} * {tuple(m2)} at rho3 = {rho3}")
+            symbols = quotient
+        alpha2, gamma1 = a2 - rho3, c1 - rho3
+        alpha, gamma = a1 + alpha2, gamma1 + c2
+        weights = _poly_mul(
+            _poly_mul([comb(b1, i) * (2 * alpha2) ** i for i in range(b1 + 1)],
+                      [comb(b2, j) * (2 * gamma1) ** j for j in range(b2 + 1)]),
+            symbols,
+        )
+        scale = (-1) ** rho3 * comb(alpha, a1) * comb(gamma, c2)
+        den = fixed * fact[rho3]
+        for u, w in enumerate(weights):
+            if w:
+                beta, rho = b1 + b2 + rho3 - u, d1 + d2 + rho3 + u
+                value, rem = divmod(fact[beta] * fact[rho] * w, den)
+                if rem:
+                    raise IntegralityViolation(
+                        f"coefficient of {(alpha, beta, gamma, rho)} in "
+                        f"{tuple(m1)} * {tuple(m2)} is not an integer")
+                out[NormalMonomial(alpha, beta, gamma, rho)] = scale * value
+    return out
 
 
 class Element:

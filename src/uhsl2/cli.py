@@ -7,7 +7,8 @@ Subcommands:
   species     labelled counts vs series coefficients for a functor pair
   identities  run the catalog of known identities
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
+3 internal error (any other exception, reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .serialize import element_to_json, pretty
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _exponents(text: str) -> tuple[int, int, int, int]:
@@ -204,7 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # a fault of the program, never a mismatch (exit 1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

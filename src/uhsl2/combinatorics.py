@@ -1,7 +1,7 @@
 """Symmetric-function and Pochhammer symbols behind the product coefficients.
 
 Everything here is exact integer arithmetic.  The shifted symbol (a)^s_n is
-the workhorse: it is computed by its recursion, while ``elementary_symmetric``
+computed iteratively by its row recurrence, while ``elementary_symmetric``
 recomputes it by brute-force enumeration so the routes can be cross-checked.
 The vam3 identity lives in y and h, which commute, so both of its sides are
 plain coefficient lists.
@@ -34,15 +34,22 @@ def elementary_symmetric(s: int, values: list[int]) -> int:
 def shifted_elem(a: int, s: int, n: int) -> int:
     """The shifted symbol (a)^s_n = e^s_n(a, a+1, ..., a+n-1).
 
-    Evaluated through the recursion
-    (a)^s_n = (a)^s_{n-1} + (a+n-1)(a)^{s-1}_{n-1}
-    with boundary conditions (a)^0_n = 1 and (a)^s_n = 0 for s > n.
+    Evaluated in a loop by the row recurrence
+    (a)^j_k = (a)^j_{k-1} + (a+k-1)(a)^{j-1}_{k-1} for k = 1..n, with
+    (a)^0_k = 1 and (a)^s_n = 0 for s > n.  Row k updates only the entries
+    j >= s - (n - k) that still reach (a)^s_n, so the cost is
+    O(n min(s, n - s + 1)) and no recursion depth grows with n.
     """
     if s == 0:
         return 1
-    if s > n:
+    if s < 0 or s > n:
         return 0
-    return shifted_elem(a, s, n - 1) + (a + n - 1) * shifted_elem(a, s - 1, n - 1)
+    row = [1] + [0] * s
+    for k in range(1, n + 1):
+        v = a + k - 1
+        for j in range(min(k, s), max(1, s - n + k) - 1, -1):
+            row[j] += v * row[j - 1]
+    return row[s]
 
 
 def falling_factorial(a: int, n: int) -> int:

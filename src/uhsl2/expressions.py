@@ -13,6 +13,9 @@ Grammar (infix, left associative):
 '*' is the star product and is mandatory (juxtaposition is nothing);
 ``m(a,b,c,d)`` is the divided monomial.  Rationals are integers or
 ``num/den``.  ``exp(...)`` only evaluates under an explicit degree cap.
+Parentheses and unary minus signs nest at most ``MAX_NESTING`` deep; deeper
+input is a ``ParseError``, before the parser's recursion can reach the
+interpreter's limit.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ class Negate(Expression):
 
 
 _PUNCT = "()+-*/,"
+MAX_NESTING = 200
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -112,6 +116,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -147,16 +152,20 @@ class _Parser:
 
     def factor(self) -> Expression:
         kind, value, pos = self.peek()
-        if kind == "-":
-            self.take("-")
-            return Negate(self.factor())
+        if kind in ("-", "("):
+            self.take(kind)
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nested deeper than {MAX_NESTING} levels", pos)
+            if kind == "-":
+                node = Negate(self.factor())
+            else:
+                node = self.expr()
+                self.take(")")
+            self.depth -= 1
+            return node
         if kind == "num":
             return Literal(self.rational())
-        if kind == "(":
-            self.take("(")
-            node = self.expr()
-            self.take(")")
-            return node
         if kind == "name":
             self.take("name")
             if value in COLORS:

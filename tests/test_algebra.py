@@ -5,24 +5,27 @@ from __future__ import annotations
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_formula import product_index_assignments, reference_mono_star
 from uhsl2.algebra import (
     Element,
     IntegralityViolation,
     NormalMonomial,
+    _mono_star,
     exp_series,
     mono_star_mono,
     normal_order_yx,
     normal_order_zx,
     normal_order_zy,
-    product_index_assignments,
     star,
     structural_coefficient,
 )
+from uhsl2.combinatorics import shifted_elem
 from uhsl2.rewrite import oracle_star
 
 X1 = Element.monomial((1, 0, 0, 0))
@@ -173,6 +176,54 @@ class TestIndexAssignments:
         m1, m2 = NormalMonomial(1, 2, 2, 0), NormalMonomial(3, 1, 0, 1)
         for asg in product_index_assignments(m1, m2):
             assert asg.output.degree == m1.degree + m2.degree
+
+
+exponents_to_6 = st.tuples(*4 * [st.integers(0, 6)]).map(lambda m: NormalMonomial(*m))
+
+
+@st.composite
+def pairs_of_total_degree(draw, top):
+    """Two monomials, h included, whose degrees sum to at most ``top``."""
+    parts, left = [], top
+    for _ in range(8):
+        parts.append(draw(st.integers(0, left)))
+        left -= parts[-1]
+    parts = draw(st.permutations(parts))
+    return tuple(parts[:4]), tuple(parts[4:])
+
+
+class TestStagedKernel:
+    """The staged kernel against the literal 13-index sum and the oracle."""
+
+    def test_equals_reference_exhaustively_to_exponent_2(self):
+        monos = [NormalMonomial(*m) for m in product(range(3), repeat=4)]
+        for m1 in monos:
+            for m2 in monos:
+                assert _mono_star(m1, m2) == reference_mono_star(m1, m2), (m1, m2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(exponents_to_6, exponents_to_6)
+    def test_equals_reference_to_exponent_6(self, m1, m2):
+        staged = _mono_star(m1, m2)
+        assert staged == reference_mono_star(m1, m2)
+        assert all(type(v) is int for v in staged.values())
+
+    def test_z30_x30_equals_reference(self):
+        m1, m2 = NormalMonomial(0, 0, 30, 0), NormalMonomial(30, 0, 0, 0)
+        staged = _mono_star(m1, m2)
+        assert staged == reference_mono_star(m1, m2)
+        assert all(type(v) is int for v in staged.values())
+
+    @settings(max_examples=50, deadline=None)
+    @given(pairs_of_total_degree(10))
+    def test_against_rewrite_oracle_to_degree_10(self, pair):
+        assert mono_star_mono(*pair) == oracle_star(*pair)
+
+    def test_leaves_the_symbol_cache_alone(self):
+        shifted_elem.cache_clear()
+        _mono_star.cache_clear()
+        _mono_star(NormalMonomial(1, 2, 5, 1), NormalMonomial(6, 1, 2, 0))
+        assert shifted_elem.cache_info().currsize == 0
 
 
 class TestMonoStarMono:
@@ -408,8 +459,24 @@ def weight(mono) -> int:
     return mono.a - mono.c
 
 
+DEG3_MONOS = [m for m in DEG4_MONOS if sum(m) <= 3]
+
+elements_to_degree_3 = st.dictionaries(
+    st.sampled_from(DEG3_MONOS),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    min_size=1,
+    max_size=4,
+).map(Element)
+
+
 class TestInvariantProperties:
-    """Invariants of star on random elements with h, degree <= 4."""
+    """Invariants of star on random elements with h, degree <= 4 (<= 3 for
+    associativity, which multiplies three of them)."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(elements_to_degree_3, elements_to_degree_3, elements_to_degree_3)
+    def test_associativity(self, f, g, e):
+        assert star(star(f, g), e) == star(f, star(g, e))
 
     @settings(max_examples=50, deadline=None)
     @given(elements, elements)

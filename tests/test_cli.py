@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from uhsl2 import cli
 from uhsl2.algebra import Element
 from uhsl2.cli import main
 from uhsl2.expressions import evaluate, parse
@@ -76,6 +77,22 @@ class TestStarCommand:
         code, out, _ = run(capsys, "star", "--expr", " + ".join(parts), "--format", "json")
         assert code == 0
         assert out.strip() == element_to_json(expected)
+
+    def test_deep_nesting_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "star", "--expr", "(" * 3000 + "x" + ")" * 3000)
+        assert code == 2
+        assert out == ""
+        assert "nested deeper" in err
+
+    def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
+        def broken(*_args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "evaluate", broken)
+        code, out, err = run(capsys, "star", "--expr", "y * x")
+        assert code == cli.EXIT_INTERNAL == 3
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom\n"
 
     def test_negative_cap_is_usage_error(self, capsys):
         code, _, err = run(capsys, "star", "--expr", "exp(x)", "--cap", "-1")

@@ -88,6 +88,13 @@ class TestShiftedElem:
                         + (a + n - 1) * shifted_elem(a, s - 1, n - 1)
                     )
 
+    # n above the interpreter's recursion limit: the rows are computed in a loop
+    def test_long_row(self):
+        assert shifted_elem(0, 1, 1500) == 1500 * 1499 // 2
+
+    def test_full_row_is_factorial(self):
+        assert shifted_elem(1, 1200, 1200) == factorial(1200)
+
 
 def tableaux_count(a, s, n):
     """Placements of s dots on rows of lengths a..a+n-1, at most one per row."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from uhsl2.expressions import (
     Generator,
     Literal,
     Negate,
+    MAX_NESTING,
     ParseError,
     StarProduct,
     Sum,
@@ -75,6 +77,24 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert err.value.position >= 0
+
+    def test_nesting_up_to_the_bound_evaluates(self):
+        n = MAX_NESTING
+        assert evaluate(parse("(" * n + "x" + ")" * n)) == evaluate(parse("x"))
+        assert evaluate(parse("-" * n + "x")) == evaluate(parse("x"))
+        power = evaluate(parse("(x * " * (n - 1) + "x" + ")" * (n - 1)))
+        assert power == Element.monomial((n, 0, 0, 0), factorial(n))
+
+    @pytest.mark.parametrize("text", [
+        "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+        "-" * (MAX_NESTING + 1) + "x",
+        "(-" * 1500 + "x" + ")" * 1500,
+        "(" * 3000 + "x" + ")" * 3000,
+    ])
+    def test_deeper_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested deeper") as err:
+            parse(text)
+        assert err.value.position < 2 * (MAX_NESTING + 1)
 
 
 expressions = st.deferred(
