@@ -12,10 +12,12 @@ Grammar (infix, left associative):
 
 '*' is the star product and is mandatory (juxtaposition is nothing);
 ``m(a,b,c,d)`` is the divided monomial.  Rationals are integers or
-``num/den``.  ``exp(...)`` only evaluates under an explicit degree cap.
-Parentheses and unary minus signs nest at most ``MAX_NESTING`` deep; deeper
-input is a ``ParseError``, before the parser's recursion can reach the
-interpreter's limit.
+``num/den``.  ``exp(...)`` only evaluates under an explicit degree cap, and
+``evaluate`` accepts caps up to ``MAX_CAP``.  ``Sum`` and ``StarProduct`` are
+n-ary (``a * b * c`` is one node of three factors), so parse, print and
+evaluate loop over operands and recurse only at parentheses and unary minus.
+Those nest at most ``MAX_NESTING`` deep; deeper input is a ``ParseError``,
+before any recursion can reach the interpreter's limit.
 """
 
 from __future__ import annotations
@@ -65,14 +67,20 @@ class Exp(Expression):
 
 @dataclass(frozen=True)
 class Sum(Expression):
-    left: Expression
-    right: Expression
+    terms: tuple[Expression, ...]
+
+    def __post_init__(self):
+        if len(self.terms) < 2:
+            raise ValueError("a Sum needs two or more terms")
 
 
 @dataclass(frozen=True)
 class StarProduct(Expression):
-    left: Expression
-    right: Expression
+    factors: tuple[Expression, ...]
+
+    def __post_init__(self):
+        if len(self.factors) < 2:
+            raise ValueError("a StarProduct needs two or more factors")
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,7 @@ class Negate(Expression):
 
 _PUNCT = "()+-*/,"
 MAX_NESTING = 200
+MAX_CAP = 32
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -136,19 +145,19 @@ class _Parser:
         return node
 
     def expr(self) -> Expression:
-        node = self.term()
+        terms = [self.term()]
         while self.peek()[0] in "+-":
             op = self.take(self.peek()[0])
             right = self.term()
-            node = Sum(node, Negate(right) if op[0] == "-" else right)
-        return node
+            terms.append(Negate(right) if op[0] == "-" else right)
+        return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
 
     def term(self) -> Expression:
-        node = self.factor()
+        factors = [self.factor()]
         while self.peek()[0] == "*":
             self.take("*")
-            node = StarProduct(node, self.factor())
-        return node
+            factors.append(self.factor())
+        return StarProduct(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def factor(self) -> Expression:
         kind, value, pos = self.peek()
@@ -210,17 +219,24 @@ def parse(text: str) -> Expression:
 
 def to_text(node: Expression) -> str:
     """Render an expression; parsing the output reproduces the syntax tree."""
-    if isinstance(node, Sum):
-        if isinstance(node.right, Negate):
-            return f"{to_text(node.left)} - {_factor_text(node.right.operand)}"
-        return f"{to_text(node.left)} + {_term_text(node.right)}"
-    return _term_text(node)
+    if not isinstance(node, Sum):
+        return _term_text(node)
+    text = _term_text(node.terms[0])
+    for term in node.terms[1:]:
+        if isinstance(term, Negate):
+            text += " - " + _factor_text(term.operand)
+        else:
+            text += " + " + _term_text(term)
+    return text
 
 
 def _term_text(node: Expression) -> str:
-    if isinstance(node, StarProduct):
-        return f"{_term_text(node.left)} * {_factor_text(node.right)}"
-    return _factor_text(node)
+    if not isinstance(node, StarProduct):
+        return _factor_text(node)
+    text = _factor_text(node.factors[0])
+    for factor in node.factors[1:]:
+        text += " * " + _factor_text(factor)
+    return text
 
 
 def _factor_text(node: Expression) -> str:
@@ -239,8 +255,8 @@ def _factor_text(node: Expression) -> str:
 
 def evaluate(node: Expression, cap: int | None = None) -> Element:
     """Bottom-up evaluation to an Element under an optional degree cap."""
-    if cap is not None and cap < 0:
-        raise EvalError("degree cap must be a natural number")
+    if cap is not None and not 0 <= cap <= MAX_CAP:
+        raise EvalError(f"degree cap must be a natural number at most {MAX_CAP}")
     if isinstance(node, Literal):
         return Element({NormalMonomial(0, 0, 0, 0): node.value}, cap)
     if isinstance(node, Generator):
@@ -254,20 +270,16 @@ def evaluate(node: Expression, cap: int | None = None) -> Element:
             raise EvalError("exp(...) requires an explicit degree cap")
         return exp_series(node.color, cap)
     if isinstance(node, Sum):
-        # a flat sum parses to a left-nested chain: walk it in a loop into one
-        # dict, so a long sum neither recurses per '+' nor rebuilds the element
-        parts = []
-        while isinstance(node, Sum):
-            parts.append(node.right)
-            node = node.left
-        parts.append(node)
         out: dict[NormalMonomial, Fraction | int] = {}
-        for part in reversed(parts):
-            for mono, coeff in evaluate(part, cap).terms.items():
+        for term in node.terms:
+            for mono, coeff in evaluate(term, cap).terms.items():
                 out[mono] = out.get(mono, 0) + coeff
         return Element(out, cap)
     if isinstance(node, StarProduct):
-        return evaluate(node.left, cap) * evaluate(node.right, cap)
+        product = evaluate(node.factors[0], cap)
+        for factor in node.factors[1:]:
+            product = product * evaluate(factor, cap)
+        return product
     if isinstance(node, Negate):
         return -evaluate(node.operand, cap)
     raise TypeError(f"not an expression node: {node!r}")

@@ -78,17 +78,14 @@ class DividedPower(FunctorSpec):
 class Singleton(FunctorSpec):
     color: str
 
-    def _exponents(self) -> tuple[int, int, int, int]:
+    @property
+    def exponents(self) -> tuple[int, int, int, int]:
         out = [0, 0, 0, 0]
         out[COLORS.index(self.color)] = 1
         return tuple(out)
 
-    def value(self, sizes) -> int:
-        return 1 if tuple(sizes) == self._exponents() else 0
-
-    def slot_sizes(self, color, limit) -> range:
-        want = self._exponents()[color]
-        return range(want, want + 1) if want <= limit else range(0)
+    value = DividedPower.value
+    slot_sizes = DividedPower.slot_sizes
 
     def __str__(self) -> str:
         return self.color
@@ -282,15 +279,14 @@ def species_coefficient_check(
 
     Every size tuple with total at most ``max_total`` is checked against the
     coefficient of the corresponding divided monomial in the star product of
-    the two generating series.
+    the two generating series; a mismatch is a term of their difference.
     """
+    counts = species_element(F, G, max_total)
     series = star(valuation_element(F, max_total), valuation_element(G, max_total))
-    mismatches = []
-    checked = 0
-    for sizes in size_tuples(max_total):
-        count = star_species(F, G, sizes)
-        coeff = series.coefficient(sizes)
-        checked += 1
-        if count != coeff:
-            mismatches.append(SpeciesMismatch(sizes, count, coeff))
-    return SpeciesCheckReport(F, G, max_total, checked, mismatches)
+    differing = (counts - series).terms
+    sizes = list(size_tuples(max_total))
+    mismatches = [
+        SpeciesMismatch(s, counts.coefficient(s), series.coefficient(s))
+        for s in sizes if s in differing
+    ]
+    return SpeciesCheckReport(F, G, max_total, len(sizes), mismatches)

@@ -1,23 +1,46 @@
-"""Tests for the command-line interface (in-process, via main's return code)."""
+"""Tests for the command-line interface: in-process via main's return code,
+and a few through the real ``python -m uhsl2.cli`` entry point."""
 
 from __future__ import annotations
 
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
+from math import factorial
+from pathlib import Path
 
 import pytest
 
-from uhsl2 import cli
+import uhsl2
+from uhsl2 import cli, rewrite, species
 from uhsl2.algebra import Element
 from uhsl2.cli import main
-from uhsl2.expressions import evaluate, parse
-from uhsl2.serialize import element_to_json
+from uhsl2.expressions import MAX_CAP, evaluate, parse
+from uhsl2.serialize import element_from_json, element_to_json
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _limit_memory():
+    # a run that ignores its input bounds fails here instead of filling memory
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def run_entry_point(*argv, timeout=30):
+    """Run ``python -m uhsl2.cli`` from this source tree in a child process."""
+    src = Path(uhsl2.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "uhsl2.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=_limit_memory)
 
 
 class TestStarCommand:
@@ -63,7 +86,7 @@ class TestStarCommand:
         assert "position" in err
 
     def test_long_flat_sum(self, capsys):
-        # a flat sum parses to a left-nested chain deeper than the recursion limit
+        # 1,500 terms: deeper than the recursion limit if each '+' were its own node
         rng = random.Random(1500)
         parts = [
             "{}/{} * m({},{},{},{})".format(
@@ -77,6 +100,32 @@ class TestStarCommand:
         code, out, _ = run(capsys, "star", "--expr", " + ".join(parts), "--format", "json")
         assert code == 0
         assert out.strip() == element_to_json(expected)
+
+    def test_long_product_chain(self, capsys):
+        code, out, err = run(capsys, "star", "--expr", " * ".join(["x"] * 1500),
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        assert out.strip() == element_to_json(
+            Element.monomial((1500, 0, 0, 0), factorial(1500)))
+
+    def test_entry_point(self):
+        proc = run_entry_point("star", "--expr", "y * x")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2 x h + x y\n", "")
+
+    def test_huge_cap_is_usage_error(self):
+        # the cap is checked before anything is allocated
+        proc = run_entry_point("star", "--expr", "exp(x)", "--cap", "100000000", timeout=5)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "at most" in proc.stderr
+
+    def test_costliest_product_at_the_cap(self):
+        # the two series whose product has the most terms, at the largest cap
+        proc = run_entry_point("star", "--expr", "exp(z) * exp(x)", "--cap",
+                               str(MAX_CAP), "--format", "json", timeout=5)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        element = element_from_json(proc.stdout)
+        assert element.coefficient((MAX_CAP, 0, 0, 0)) == 1
+        assert element.coefficient((0, 0, MAX_CAP, 0)) == 1
 
     def test_deep_nesting_is_usage_error(self, capsys):
         code, out, err = run(capsys, "star", "--expr", "(" * 3000 + "x" + ")" * 3000)
@@ -127,6 +176,21 @@ class TestVerifyCommand:
         assert "256 monomial pairs" in out
         assert "0 mismatches" in out
 
+    def test_mismatch_exits_1(self, capsys, monkeypatch):
+        real = rewrite.oracle_star
+
+        def off_by_one(m1, m2):
+            result = real(m1, m2)
+            if (m1, m2) == ((1, 0, 1, 0), (1, 1, 0, 0)):
+                result = result + Element.unit()
+            return result
+
+        monkeypatch.setattr(rewrite, "oracle_star", off_by_one)
+        code, out, _ = run(capsys, "verify", "--max-exp", "1")
+        assert code == 1
+        assert "MISMATCH (1, 0, 1, 0) * (1, 1, 0, 0)\n" in out
+        assert "256 monomial pairs with exponents <= 1: 1 mismatches" in out
+
 
 class TestSpeciesCommand:
     def test_singletons(self, capsys):
@@ -145,6 +209,18 @@ class TestSpeciesCommand:
         code, _, _ = run(capsys, "species", "--left", "exp(y)", "--right", "exp(x)",
                          "--max-total", "3")
         assert code == 0
+
+    def test_mismatch_exits_1(self, capsys, monkeypatch):
+        real = species.star_species
+        monkeypatch.setattr(species, "star_species", lambda F, G, sizes:
+                            real(F, G, sizes) + (tuple(sizes) == (0, 1, 0, 1)))
+        code, out, _ = run(capsys, "species", "--left", "z", "--right", "x",
+                           "--max-total", "3")
+        assert code == 1
+        assert out.splitlines() == [
+            "MISMATCH at sizes ColoredSizes(nx=0, ny=1, nz=0, nh=1): species 0, series -1",
+            "checked 35 size tuples for z * x (total <= 3): 1 mismatches",
+        ]
 
     def test_bad_functor_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -17,6 +17,7 @@ from uhsl2.expressions import (
     Generator,
     Literal,
     Negate,
+    MAX_CAP,
     MAX_NESTING,
     ParseError,
     StarProduct,
@@ -34,40 +35,45 @@ from uhsl2.serialize import (
 
 class TestParse:
     def test_star_of_generators(self):
-        assert parse("y * x") == StarProduct(Generator("y"), Generator("x"))
+        assert parse("y * x") == StarProduct((Generator("y"), Generator("x")))
 
     def test_divided_monomials(self):
         assert parse("m(0,0,2,0) * m(2,0,0,0)") == StarProduct(
-            DividedMono(0, 0, 2, 0), DividedMono(2, 0, 0, 0)
+            (DividedMono(0, 0, 2, 0), DividedMono(2, 0, 0, 0))
         )
 
     def test_scaled_sum(self):
-        assert parse("2 * m(1,0,0,0) + -1 * h") == Sum(
-            StarProduct(Literal(Fraction(2)), DividedMono(1, 0, 0, 0)),
-            StarProduct(Negate(Literal(Fraction(1))), Generator("h")),
-        )
+        assert parse("2 * m(1,0,0,0) + -1 * h") == Sum((
+            StarProduct((Literal(Fraction(2)), DividedMono(1, 0, 0, 0))),
+            StarProduct((Negate(Literal(Fraction(1))), Generator("h"))),
+        ))
 
     def test_binary_minus_wraps_negate(self):
-        assert parse("x - y") == Sum(Generator("x"), Negate(Generator("y")))
+        assert parse("x - y") == Sum((Generator("x"), Negate(Generator("y"))))
 
     def test_fraction_literal(self):
         assert parse("3/2") == Literal(Fraction(3, 2))
 
     def test_parens(self):
         assert parse("(x + y) * z") == StarProduct(
-            Sum(Generator("x"), Generator("y")), Generator("z")
+            (Sum((Generator("x"), Generator("y"))), Generator("z"))
         )
 
     def test_exp_node(self):
-        assert parse("exp(z) * exp(x)") == StarProduct(Exp("z"), Exp("x"))
+        assert parse("exp(z) * exp(x)") == StarProduct((Exp("z"), Exp("x")))
 
     def test_left_associativity(self):
-        assert parse("x * y * z") == StarProduct(
-            StarProduct(Generator("x"), Generator("y")), Generator("z")
-        )
-        assert parse("x + y + z") == Sum(
-            Sum(Generator("x"), Generator("y")), Generator("z")
-        )
+        x, y, z = (Generator(c) for c in "xyz")
+        assert parse("x * y * z") == StarProduct((x, y, z))
+        assert parse("x + y + z") == Sum((x, y, z))
+        assert parse("x - y + z") == Sum((x, Negate(y), z))
+
+    def test_parens_keep_their_grouping(self):
+        x, y, z = (Generator(c) for c in "xyz")
+        assert parse("(x * y) * z") == StarProduct((StarProduct((x, y)), z))
+        assert parse("x * (y * z)") == StarProduct((x, StarProduct((y, z))))
+        assert parse("(x + y) + z") == Sum((Sum((x, y)), z))
+        assert parse("(x * y) * z") != parse("x * y * z")
 
     @pytest.mark.parametrize(
         "text",
@@ -103,8 +109,8 @@ expressions = st.deferred(
         st.sampled_from("xyzh").map(Generator),
         st.builds(DividedMono, *(st.integers(0, 3) for _ in range(4))),
         st.sampled_from("xyzh").map(Exp),
-        st.builds(Sum, expressions, expressions),
-        st.builds(StarProduct, expressions, expressions),
+        st.builds(Sum, st.lists(expressions, min_size=2, max_size=3).map(tuple)),
+        st.builds(StarProduct, st.lists(expressions, min_size=2, max_size=3).map(tuple)),
         st.builds(Negate, expressions),
     )
 )
@@ -130,6 +136,36 @@ class TestRoundTrip:
     def test_reparse_of_printed_text(self, text):
         first = parse(text)
         assert parse(to_text(first)) == first
+
+    @pytest.mark.parametrize("operator", [" + ", " * ", " - "])
+    def test_long_flat_chains(self, operator):
+        # 1,500 operands: deeper than the recursion limit if each operator
+        # were its own node
+        node = parse(operator.join(["x"] * 1500))
+        assert parse(to_text(node)) == node
+
+    @pytest.mark.parametrize("opener", ["x + x * (", "x + (", "x - (", "x * ("])
+    def test_nesting_up_to_the_bound_prints_and_evaluates(self, opener):
+        n = MAX_NESTING
+        node = parse(opener * n + "x" + ")" * n)
+        printed = to_text(node)
+        assert printed == (opener * n + "x" + ")" * n).replace("(x)", "x")
+        # compared as text: == on a tree this deep recurses in the dataclass __eq__
+        assert to_text(parse(printed)) == printed
+        powers = [Element.monomial((k, 0, 0, 0), factorial(k)) for k in range(1, n + 2)]
+        expected = {
+            "x + x * (": sum(powers, Element.zero()),
+            "x + (": (n + 1) * powers[0],
+            "x - (": (n + 1) % 2 * powers[0],
+            "x * (": powers[-1],
+        }[opener]
+        assert evaluate(node) == expected
+
+    @pytest.mark.parametrize("node_type", [Sum, StarProduct])
+    @pytest.mark.parametrize("operands", [(), (Generator("x"),)])
+    def test_nary_nodes_need_two_operands(self, node_type, operands):
+        with pytest.raises(ValueError, match="two or more"):
+            node_type(operands)
 
 
 class TestEvaluate:
@@ -161,8 +197,13 @@ class TestEvaluate:
     def test_scalar_mul_node(self):
         # a scalar factor is a star product with a constant, not its own node
         node = parse("1/2 * m(2,0,0,0)")
-        assert node == StarProduct(Literal(Fraction(1, 2)), DividedMono(2, 0, 0, 0))
+        assert node == StarProduct((Literal(Fraction(1, 2)), DividedMono(2, 0, 0, 0)))
         assert evaluate(node) == Element({(2, 0, 0, 0): Fraction(1, 2)})
+
+    def test_cap_budget(self):
+        assert evaluate(parse("exp(x)"), MAX_CAP).coefficient((MAX_CAP, 0, 0, 0)) == 1
+        with pytest.raises(EvalError, match="at most"):
+            evaluate(parse("x"), MAX_CAP + 1)
 
     def test_exp_inside_sum_requires_cap(self):
         with pytest.raises(EvalError):

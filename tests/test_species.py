@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from uhsl2 import species
 from uhsl2.algebra import Element, exp_series, star
 from uhsl2.combinatorics import shifted_elem
 from uhsl2.species import (
+    ColoredSizes,
     DividedPower,
     Exponential,
     Singleton,
+    SpeciesMismatch,
     ascending_maps_count,
     species_coefficient_check,
     star_species,
@@ -43,9 +46,14 @@ class TestFunctorValue:
                                         (0, 0, 1, 0), (0, 0, 0, 1))):
             single = Singleton(color)
             divided = DividedPower(*mono)
+            assert single.exponents == divided.exponents
+            assert (str(single), single) == (color, Singleton(color))
             for sizes in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
                           (0, 0, 0, 1), (1, 1, 0, 0), (0, 0, 0, 0)):
                 assert single.value(sizes) == divided.value(sizes)
+            for slot in range(4):
+                for limit in range(3):
+                    assert single.slot_sizes(slot, limit) == divided.slot_sizes(slot, limit)
 
 
 class TestAscendingMapsCount:
@@ -189,6 +197,20 @@ class TestCoefficientCheck:
         assert report.mismatches == []
         assert report.left == Singleton("z")
         assert report.max_total == 2
+
+    def test_mismatches_in_size_order(self, monkeypatch):
+        real = species.star_species
+        bumped = {(0, 1, 0, 1), (1, 0, 1, 0)}
+        monkeypatch.setattr(species, "star_species", lambda F, G, sizes:
+                            real(F, G, sizes) + (tuple(sizes) in bumped))
+        report = species_coefficient_check(Singleton("z"), Singleton("x"), 3)
+        assert not report.ok
+        assert report.checked == 35
+        assert report.mismatches == [
+            SpeciesMismatch(ColoredSizes(0, 1, 0, 1), 0, -1),
+            SpeciesMismatch(ColoredSizes(1, 0, 1, 0), 2, 1),
+        ]
+        assert all(type(m.sizes) is ColoredSizes for m in report.mismatches)
 
 
 def test_species_agrees_with_star_on_mixed_monomials():
