@@ -10,7 +10,10 @@ rho3 are the coefficients of one small polynomial product.  The literal
 13-index sum is kept as the test reference in ``tests/reference_formula.py``.
 Coefficients of monomial-by-monomial products are always integers; the
 kernel checks its exact divisions and ``structural_coefficient`` checks the
-result.
+result.  ``star`` extends the kernel bilinearly in exact integers: it brings
+each factor over the least common denominator of its coefficients, sums the
+integer products of numerators and kernel coefficients, and divides each
+output coefficient once by the product of the two denominators.
 
 The rewrite and species routes take only the ``Element`` container (with its
 ``NormalMonomial`` keys) from here; species calls ``star`` solely to build the
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import NamedTuple
 
 from .combinatorics import falling_factorial, shifted_elem
@@ -252,22 +255,39 @@ def mono_star_mono(m1, m2, cap: int | None = None) -> Element:
     return Element(_mono_star(NormalMonomial(*m1), NormalMonomial(*m2)), cap)
 
 
+def _over_common_denominator(f: Element) -> tuple[int, list[tuple]]:
+    """The least common denominator L of f's coefficients, and each term of f
+    as (monomial, its total degree, coefficient * L as an int)."""
+    den = lcm(*(v.denominator for v in f.terms.values()))
+    return den, [(m, sum(m), v.numerator * (den // v.denominator))
+                 for m, v in f.terms.items()]
+
+
 def star(f: Element, g: Element) -> Element:
     """Bilinear extension of the monomial product.
 
-    The product is graded, so a shared degree cap commutes with truncation:
-    nothing at or below the cap is lost when both factors are capped.
+    Each factor is brought over the least common denominator of its
+    coefficients, so the products of the integer kernel coefficients are
+    summed as Python ints, and each output coefficient is divided once by
+    the product of the two denominators (ints stay ints).  The product is
+    graded, so a shared degree cap commutes with truncation: nothing at or
+    below the cap is lost when both factors are capped.
     """
     cap = _combine_caps(f.cap, g.cap)
-    out: dict[NormalMonomial, Fraction | int] = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            if cap is not None and m1.degree + m2.degree > cap:
+    den_f, left = _over_common_denominator(f)
+    den_g, right = _over_common_denominator(g)
+    out: dict[NormalMonomial, int] = {}
+    for m1, deg1, n1 in left:
+        for m2, deg2, n2 in right:
+            if cap is not None and deg1 + deg2 > cap:
                 continue
-            c12 = c1 * c2
+            n12 = n1 * n2
             for mono, coeff in _mono_star(m1, m2).items():
-                out[mono] = out.get(mono, 0) + c12 * coeff
-    return Element(out, cap)
+                out[mono] = out.get(mono, 0) + n12 * coeff
+    den = den_f * den_g
+    if den == 1:
+        return Element(out, cap)
+    return Element({mono: Fraction(v, den) for mono, v in out.items() if v}, cap)
 
 
 def structural_coefficient(m1, m2, out) -> int:

@@ -17,12 +17,13 @@ Grammar (infix, left associative):
 n-ary (``a * b * c`` is one node of three factors), so parse, print and
 evaluate loop over operands and recurse only at parentheses and unary minus.
 Those nest at most ``MAX_NESTING`` deep; deeper input is a ``ParseError``,
-before any recursion can reach the interpreter's limit.
+before any recursion can reach the interpreter's limit.  ``==`` and ``hash``
+on syntax trees walk them with an explicit stack and do not recurse at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .algebra import COLORS, Element, NormalMonomial, exp_series
@@ -39,20 +40,51 @@ class EvalError(ValueError):
 
 
 class Expression:
-    pass
+    """A syntax-tree node; the node classes are frozen dataclasses.
+
+    ``==`` gives the dataclass answer (same class, equal fields, operand
+    tuples compared item by item), and ``hash`` agrees with it, but both
+    read the tree from ``_preorder``, which walks it without recursing.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _preorder(self) == _preorder(other)
+
+    def __hash__(self):
+        return hash(tuple(_preorder(self)))
 
 
-@dataclass(frozen=True)
+def _preorder(node: Expression) -> list[tuple]:
+    """Every node, operand tuple and field value of the tree in pre-order,
+    each tagged with its kind; the list determines the tree."""
+    items = []
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Expression):
+            items.append(("node", item.__class__))
+            stack.extend(reversed([getattr(item, f.name) for f in fields(item)]))
+        elif type(item) is tuple:
+            items.append(("tuple", len(item)))
+            stack.extend(reversed(item))
+        else:
+            items.append(("leaf", item))
+    return items
+
+
+@dataclass(frozen=True, eq=False)
 class Literal(Expression):
     value: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Generator(Expression):
     color: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DividedMono(Expression):
     a: int
     b: int
@@ -60,12 +92,12 @@ class DividedMono(Expression):
     d: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exp(Expression):
     color: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sum(Expression):
     terms: tuple[Expression, ...]
 
@@ -74,7 +106,7 @@ class Sum(Expression):
             raise ValueError("a Sum needs two or more terms")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StarProduct(Expression):
     factors: tuple[Expression, ...]
 
@@ -83,7 +115,7 @@ class StarProduct(Expression):
             raise ValueError("a StarProduct needs two or more factors")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Negate(Expression):
     operand: Expression
 

@@ -3,15 +3,18 @@
 This is the reference the staged kernel ``uhsl2.algebra._mono_star`` is
 checked against: one ``ProductIndexAssignment`` per summand, its integer
 value built from the four multinomials exactly as the formula is written,
-and no cancellation or regrouping.
+and no cancellation or regrouping.  ``reference_star`` is the reference for
+the bilinear ``uhsl2.algebra.star``: it accumulates the kernel's terms one
+exact rational multiply and add at a time, with no common denominator.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator, NamedTuple
 
-from uhsl2.algebra import NormalMonomial
+from uhsl2.algebra import Element, NormalMonomial, _combine_caps, _mono_star
 from uhsl2.combinatorics import shifted_elem
 
 
@@ -110,3 +113,17 @@ def reference_mono_star(m1, m2) -> dict[NormalMonomial, int]:
             key = asg.output
             out[key] = out.get(key, 0) + term
     return {k: v for k, v in out.items() if v}
+
+
+def reference_star(f: Element, g: Element) -> Element:
+    """f * g, summed in Fraction arithmetic term by term."""
+    cap = _combine_caps(f.cap, g.cap)
+    out: dict[NormalMonomial, Fraction | int] = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            if cap is not None and m1.degree + m2.degree > cap:
+                continue
+            c12 = c1 * c2
+            for mono, coeff in _mono_star(m1, m2).items():
+                out[mono] = out.get(mono, 0) + c12 * coeff
+    return Element(out, cap)

@@ -11,7 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_formula import product_index_assignments, reference_mono_star
+from reference_formula import (
+    product_index_assignments,
+    reference_mono_star,
+    reference_star,
+)
 from uhsl2.algebra import (
     Element,
     IntegralityViolation,
@@ -506,3 +510,66 @@ class TestInvariantProperties:
                 total = total + product
         assert total == star(f, g)
 
+
+# Mersenne primes and two common word-sized primes: coprime denominators make
+# the common denominator of a factor, and of the product, as large as it gets
+LARGE_PRIMES = (2**31 - 1, 10**9 + 7, 998244353, 2**61 - 1, 2**89 - 1, 2**127 - 1)
+
+COEFFICIENTS = {
+    "int": st.integers(-10**6, 10**6),
+    "fraction": st.fractions(max_denominator=60),
+    "integral_fraction": st.integers(-50, 50).map(Fraction),
+    "large_prime_denominator": st.builds(
+        Fraction, st.integers(-10**30, 10**30), st.sampled_from(LARGE_PRIMES)),
+}
+COEFFICIENTS["mixed"] = st.one_of(*COEFFICIENTS.values())
+NONZERO = COEFFICIENTS["mixed"].filter(bool)
+
+
+def factors(coefficients, cap=None):
+    return st.dictionaries(st.sampled_from(DEG4_MONOS), coefficients,
+                           max_size=5).map(lambda terms: Element(terms, cap))
+
+
+class TestStarAgainstReference:
+    """star sums integers over one common denominator per factor;
+    reference_star adds one exact rational at a time.  They must agree."""
+
+    @pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_reference(self, kind, data):
+        f = data.draw(factors(COEFFICIENTS[kind]))
+        g = data.draw(factors(COEFFICIENTS[kind]))
+        product = star(f, g)
+        assert product == reference_star(f, g)
+        assert all(product.terms.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), cap=st.sampled_from([None, 0, 2, 4, 6]), shared=st.booleans())
+    def test_equals_reference_under_a_cap(self, data, cap, shared):
+        f = data.draw(factors(COEFFICIENTS["mixed"], cap))
+        g = data.draw(factors(COEFFICIENTS["mixed"], cap if shared else None))
+        product, expected = star(f, g), reference_star(f, g)
+        assert product == expected
+        assert product.cap == expected.cap == cap
+        assert cap is None or all(m.degree <= cap for m in product.terms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(NONZERO, NONZERO, NONZERO, st.sampled_from(DEG4_MONOS))
+    def test_cancelling_terms_are_pruned(self, p, q, r, mono):
+        # hm * x and x * hm both hold x hm with the coefficient a + 1, so g's
+        # hm coefficient s = -p r / q cancels it in f * g (the extra h keeps
+        # hm apart from x)
+        hm = (mono[0], mono[1], mono[2], mono[3] + 1)
+        f = Element({hm: p, (1, 0, 0, 0): q})
+        g = Element({(1, 0, 0, 0): r, hm: -Fraction(p) * r / q})
+        product = star(f, g)
+        assert product == reference_star(f, g)
+        assert (mono[0] + 1, mono[1], mono[2], mono[3] + 1) not in product.terms
+        assert all(product.terms.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(factors(COEFFICIENTS["int"]), factors(COEFFICIENTS["int"]))
+    def test_integer_factors_give_integer_coefficients(self, f, g):
+        assert all(type(v) is int for v in star(f, g).terms.values())

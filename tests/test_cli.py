@@ -191,6 +191,18 @@ class TestVerifyCommand:
         assert "MISMATCH (1, 0, 1, 0) * (1, 1, 0, 0)\n" in out
         assert "256 monomial pairs with exponents <= 1: 1 mismatches" in out
 
+    def test_sweep_at_the_bound_passes(self):
+        proc = run_entry_point("verify", "--max-exp", str(cli.MAX_VERIFY_EXP))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert f"verified {(cli.MAX_VERIFY_EXP + 1) ** 8} monomial pairs" in proc.stdout
+
+    @pytest.mark.parametrize("max_exp", ["3", "1000000000"])
+    def test_max_exp_above_the_bound_is_usage_error(self, max_exp):
+        # the bound is checked before the sweep starts
+        proc = run_entry_point("verify", "--max-exp", max_exp, timeout=5)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"at most {cli.MAX_VERIFY_EXP}" in proc.stderr
+
 
 class TestSpeciesCommand:
     def test_singletons(self, capsys):

@@ -150,7 +150,7 @@ class TestRoundTrip:
         node = parse(opener * n + "x" + ")" * n)
         printed = to_text(node)
         assert printed == (opener * n + "x" + ")" * n).replace("(x)", "x")
-        # compared as text: == on a tree this deep recurses in the dataclass __eq__
+        assert parse(printed) == node
         assert to_text(parse(printed)) == printed
         powers = [Element.monomial((k, 0, 0, 0), factorial(k)) for k in range(1, n + 2)]
         expected = {
@@ -166,6 +166,48 @@ class TestRoundTrip:
     def test_nary_nodes_need_two_operands(self, node_type, operands):
         with pytest.raises(ValueError, match="two or more"):
             node_type(operands)
+
+
+# three kinds of leaf and at most six leaves, so that two drawn trees are
+# often equal
+few_leaves = st.recursive(
+    st.sampled_from([Generator("x"), Generator("y"), Literal(Fraction(1))]),
+    lambda inner: st.one_of(
+        st.builds(Sum, st.tuples(inner, inner)),
+        st.builds(StarProduct, st.tuples(inner, inner)),
+        st.builds(Negate, inner),
+    ),
+    max_leaves=6,
+)
+
+
+class TestTreeEquality:
+    def test_deep_trees_compare_and_hash(self):
+        # the dataclass __eq__ recursed per level and raised RecursionError here
+        text = "x + x * (" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse(text) == parse(text)
+        assert hash(parse(text)) == hash(parse(text))
+        assert parse(text) != parse(text.replace("x)", "y)", 1))
+
+    def test_same_answers_as_field_comparison(self):
+        assert Literal(Fraction(-1)) != Negate(Literal(Fraction(1)))
+        assert Generator("x") != Exp("x")
+        assert parse("(x * y) * z") != parse("x * y * z")
+        assert parse("x + y") != parse("y + x")
+        assert parse("x + y") != parse("x + y + x")
+        assert Literal(Fraction(2)) == Literal(2)
+        assert hash(Literal(Fraction(2))) == hash(Literal(2))
+        assert Generator("x") != "x"
+
+    @settings(max_examples=300)
+    @given(few_leaves, few_leaves)
+    def test_equality_agrees_with_repr(self, a, b):
+        # on trees of Fraction literals, the dataclass repr spells out every
+        # class and field, so equal reprs mean equal trees and back
+        assert (a == b) == (repr(a) == repr(b))
+        assert (a != b) == (repr(a) != repr(b))
+        if a == b:
+            assert hash(a) == hash(b)
 
 
 class TestEvaluate:
