@@ -9,8 +9,8 @@ rho4 + rho5 + rho6, and after two factorial cancellations the sums for one
 rho3 are the coefficients of one small polynomial product.  The literal
 13-index sum is kept as the test reference in ``tests/reference_formula.py``.
 Coefficients of monomial-by-monomial products are always integers; the
-kernel checks its exact divisions and ``structural_coefficient`` checks the
-result.  ``star`` extends the kernel bilinearly in exact integers: it brings
+kernel checks that each of its divisions is exact, so it returns only ints.
+``star`` extends the kernel bilinearly in exact integers: it brings
 each factor over the least common denominator of its coefficients, sums the
 integer products of numerators and kernel coefficients, and divides each
 output coefficient once by the product of the two denominators.
@@ -292,13 +292,7 @@ def star(f: Element, g: Element) -> Element:
 
 def structural_coefficient(m1, m2, out) -> int:
     """The integer coefficient of ``out`` in the product of two basis monomials."""
-    value = mono_star_mono(m1, m2).coefficient(out)
-    as_fraction = Fraction(value)
-    if as_fraction.denominator != 1:
-        raise IntegralityViolation(
-            f"coefficient of {tuple(out)} in {tuple(m1)} * {tuple(m2)} is {value}"
-        )
-    return int(as_fraction)
+    return mono_star_mono(m1, m2).coefficient(out)
 
 
 def normal_order_zy(a: int, b: int) -> Element:

@@ -45,6 +45,8 @@ class Expression:
     ``==`` gives the dataclass answer (same class, equal fields, operand
     tuples compared item by item), and ``hash`` agrees with it, but both
     read the tree from ``_preorder``, which walks it without recursing.
+    ``repr`` gives the dataclass text, such as
+    ``Negate(operand=Generator(color='x'))``, built with an explicit stack.
     """
 
     def __eq__(self, other):
@@ -54,6 +56,30 @@ class Expression:
 
     def __hash__(self):
         return hash(tuple(_preorder(self)))
+
+    def __repr__(self):
+        parts = []
+        # (True, text) is output as is; (False, value) is still to be spelled
+        stack = [(False, self)]
+        while stack:
+            is_text, item = stack.pop()
+            if is_text:
+                parts.append(item)
+                continue
+            if isinstance(item, Expression):
+                todo = [(True, f"{item.__class__.__qualname__}(")]
+                for i, f in enumerate(fields(item)):
+                    todo += [(True, ", " * (i > 0) + f"{f.name}="), (False, getattr(item, f.name))]
+                todo.append((True, ")"))
+            elif type(item) is tuple:
+                todo = [(True, "(")]
+                for i, value in enumerate(item):
+                    todo += [(True, ", " * (i > 0)), (False, value)]
+                todo.append((True, ",)" if len(item) == 1 else ")"))
+            else:
+                todo = [(True, repr(item))]
+            stack.extend(reversed(todo))
+        return "".join(parts)
 
 
 def _preorder(node: Expression) -> list[tuple]:
@@ -74,17 +100,17 @@ def _preorder(node: Expression) -> list[tuple]:
     return items
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Literal(Expression):
     value: Fraction
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Generator(Expression):
     color: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class DividedMono(Expression):
     a: int
     b: int
@@ -92,12 +118,12 @@ class DividedMono(Expression):
     d: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Exp(Expression):
     color: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sum(Expression):
     terms: tuple[Expression, ...]
 
@@ -106,7 +132,7 @@ class Sum(Expression):
             raise ValueError("a Sum needs two or more terms")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class StarProduct(Expression):
     factors: tuple[Expression, ...]
 
@@ -115,7 +141,7 @@ class StarProduct(Expression):
             raise ValueError("a StarProduct needs two or more factors")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Negate(Expression):
     operand: Expression
 

@@ -10,10 +10,23 @@ against.
 Normalization terminates: a rule output either sorts a pair in place (the
 inversion count drops by one) or trades a non-H letter for an H (the non-H
 letter count drops), so the pair (#non-H letters, #inversions) decreases
-lexicographically with every step.
+lexicographically with every step.  With the rules' overlaps resolvable,
+Bergman's diamond lemma (Adv. Math. 29, 1978) makes the normal form
+independent of the order of rewriting; the two strategies below are two such
+orders, and the tests compare them.
 
-The per-strategy memo is the only shared state; entries are only ever added,
-never mutated, so concurrent callers at worst recompute a word.
+``normalize`` reads a word one letter at a time and inserts each letter into
+every normal word of a running sum.  Only the pair at the insertion point can
+be inverted, and it is rewritten by the same rules through ``rewrite_step``.
+The strategy is the insertion order: ``"leftmost"`` appends letters left to
+right, which is exactly leftmost-first rewriting, and ``"rightmost"``
+prepends them right to left.
+
+The memo of insertions, one per strategy and keyed on (normal word, letter),
+is the only shared state.  It lives for the whole process, so a verification
+sweep pays for each insertion once; its keys are normal words, so it holds
+no intermediate word of any rewrite.  Entries are only ever added, never
+mutated, so concurrent callers at worst compute an entry twice.
 """
 
 from __future__ import annotations
@@ -39,7 +52,9 @@ _RULES: dict[str, tuple[tuple[str, int], ...]] = {
     "HZ": (("ZH", 1),),
 }
 
-_CACHE: dict[str, dict[str, WordSum]] = {"leftmost": {}, "rightmost": {}}
+# (normal word, letter) -> normal form of the word with the letter inserted at
+# its right end ("leftmost") or its left end ("rightmost")
+_MEMO: dict[str, dict[tuple[FreeWord, str], WordSum]] = {"leftmost": {}, "rightmost": {}}
 
 
 def is_normal(word: FreeWord) -> bool:
@@ -66,37 +81,89 @@ def rewrite_step(word: FreeWord, strategy: str = "leftmost") -> WordSum | None:
     return None
 
 
+def _known(word: FreeWord, letter: str, leftmost: bool, memo) -> WordSum | None:
+    """The normal form of the normal ``word`` with ``letter`` appended
+    (leftmost) or prepended (rightmost), when the joined word is normal or
+    in the memo; None otherwise."""
+    if leftmost:
+        if not word or _RANK[word[-1]] <= _RANK[letter]:
+            return {word + letter: 1}
+    elif not word or _RANK[letter] <= _RANK[word[0]]:
+        return {letter + word: 1}
+    return memo.get((word, letter))
+
+
+def _insert(word: FreeWord, letter: str, leftmost: bool, memo) -> WordSum:
+    """Normalize the normal ``word`` with ``letter`` inserted at its right
+    end (leftmost) or its left end (rightmost), for a key not ``_known`` yet.
+
+    Only the pair at the boundary is inverted; each of its rule outputs
+    ``u v`` replaces it, so the result is ``rest`` (``word`` minus its
+    boundary letter) with the inner letter of ``u v`` inserted, and then the
+    outer one inserted into each resulting normal word.  A work stack of
+    (normal word, letter) keys resolves these in dependency order, so the
+    word length sets no recursion depth.
+    """
+    stack = [(word, letter)]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        w, c = key
+        # (inner letter, outer letter, coefficient) of each rule output
+        if leftmost:
+            rest = w[:-1]
+            step = [(uv[0], uv[1], k) for uv, k in rewrite_step(w[-1] + c).items()]
+        else:
+            rest = w[1:]
+            step = [(uv[1], uv[0], k) for uv, k in rewrite_step(c + w[0]).items()]
+        firsts = [(_known(rest, inner, leftmost, memo), (rest, inner), outer, k)
+                  for inner, outer, k in step]
+        missing = [need for got, need, _, _ in firsts if got is None]
+        if not missing:
+            seconds = [(_known(p, outer, leftmost, memo), (p, outer), k * j)
+                       for got, _, outer, k in firsts for p, j in got.items()]
+            missing = [need for got, need, _ in seconds if got is None]
+        if missing:
+            stack.extend(missing)
+            continue
+        combined: WordSum = {}
+        for got, _, k in seconds:
+            for q, j in got.items():
+                combined[q] = combined.get(q, 0) + k * j
+        memo[key] = {q: v for q, v in combined.items() if v}
+        stack.pop()
+    return memo[(word, letter)]
+
+
 def normalize(word: FreeWord, strategy: str = "leftmost") -> WordSum:
     """Exhaustively rewrite ``word`` into a combination of normal words.
 
-    Memoized per strategy: identical words reappear constantly across rewrite
-    branches, and the cache is what makes large verification sweeps cheap.
-    Implemented with an explicit stack so long rewrite chains cannot hit the
-    recursion limit.
+    The letters are inserted one at a time into a running sum of normal
+    words: appended left to right for ``"leftmost"``, prepended right to left
+    for ``"rightmost"``.  This is exactly leftmost (rightmost) rewriting: on
+    ``n c rest`` with ``n`` normal, the leftmost inverted pair stays inside
+    ``n c`` until that prefix is normal again, and ``rest`` is untouched.
+    Insertions are memoized per strategy on (normal word, letter) for the
+    life of the process; the memo grows with the distinct normal words met,
+    not with the rewrite branches.  No step recurses, so the word length is
+    not limited by the interpreter's recursion depth.
     """
-    cache = _CACHE[strategy]
-    stack = [word]
-    while stack:
-        w = stack[-1]
-        if w in cache:
-            stack.pop()
-            continue
-        step = rewrite_step(w, strategy)
-        if step is None:
-            cache[w] = {w: 1}
-            stack.pop()
-            continue
-        pending = [u for u in step if u not in cache]
-        if pending:
-            stack.extend(pending)
-            continue
-        combined: WordSum = {}
-        for u, coeff in step.items():
-            for nw, nc in cache[u].items():
-                combined[nw] = combined.get(nw, 0) + coeff * nc
-        cache[w] = {k: v for k, v in combined.items() if v}
-        stack.pop()
-    return dict(cache[word])
+    if strategy not in _MEMO:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    memo, leftmost = _MEMO[strategy], strategy == "leftmost"
+    total: WordSum = {"": 1}
+    for letter in word if leftmost else word[::-1]:
+        nxt: WordSum = {}
+        for w, k in total.items():
+            got = _known(w, letter, leftmost, memo)
+            if got is None:
+                got = _insert(w, letter, leftmost, memo)
+            for q, j in got.items():
+                nxt[q] = nxt.get(q, 0) + k * j
+        total = {q: v for q, v in nxt.items() if v}
+    return total
 
 
 def to_element(word_sum: WordSum) -> Element:
@@ -107,14 +174,13 @@ def to_element(word_sum: WordSum) -> Element:
     """
     terms: dict[NormalMonomial, int] = {}
     for word, coeff in word_sum.items():
-        if not is_normal(word):
+        counts = tuple(map(word.count, ALPHABET))
+        if word != word_of_monomial(counts):
             raise ValueError(f"word {word!r} is not in normal order")
-        counts = tuple(word.count(c) for c in ALPHABET)
-        scale = 1
-        for e in counts:
-            scale *= factorial(e)
-        mono = NormalMonomial(*counts)
-        terms[mono] = terms.get(mono, 0) + coeff * scale
+        a, b, c, d = counts
+        # distinct normal words are distinct monomials
+        terms[NormalMonomial(a, b, c, d)] = (
+            coeff * factorial(a) * factorial(b) * factorial(c) * factorial(d))
     return Element(terms)
 
 
@@ -134,4 +200,5 @@ def oracle_star(m1, m2) -> Element:
     den = 1
     for e in (*m1, *m2):
         den *= factorial(e)
-    return to_element(normalize(word)).scale(Fraction(1, den))
+    plain = to_element(normalize(word)).terms
+    return Element({mono: Fraction(v, den) for mono, v in plain.items()})

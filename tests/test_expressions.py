@@ -189,6 +189,22 @@ class TestTreeEquality:
         assert hash(parse(text)) == hash(parse(text))
         assert parse(text) != parse(text.replace("x)", "y)", 1))
 
+    def test_repr_is_the_dataclass_text(self):
+        assert repr(parse("-x + 3/4 * exp(z)")) == (
+            "Sum(terms=(Negate(operand=Generator(color='x')), "
+            "StarProduct(factors=(Literal(value=Fraction(3, 4)), Exp(color='z')))))"
+        )
+        assert repr(parse("m(0,0,2,0) * y")) == (
+            "StarProduct(factors=(DividedMono(a=0, b=0, c=2, d=0), Generator(color='y')))"
+        )
+
+    def test_deep_trees_print_their_repr(self):
+        # the dataclass __repr__ recursed per level and raised RecursionError here
+        text = "x + x * (" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        printed = repr(parse(text))
+        inner = "Sum(terms=(Generator(color='x'), StarProduct(factors=(Generator(color='x'), "
+        assert printed == inner * MAX_NESTING + "Generator(color='x')" + "))))" * MAX_NESTING
+
     def test_same_answers_as_field_comparison(self):
         assert Literal(Fraction(-1)) != Negate(Literal(Fraction(1)))
         assert Generator("x") != Exp("x")
