@@ -5,7 +5,8 @@ Subcommands:
   coeff       print one structural coefficient
   verify      closed formula vs rewrite oracle, exhaustive sweep over all
               (max_exp + 1)^8 monomial pairs; max_exp is at most MAX_VERIFY_EXP
-  species     labelled counts vs series coefficients for a functor pair
+  species     labelled counts vs series coefficients for a functor pair, on
+              every size tuple of total at most max_total <= MAX_SPECIES_TOTAL
   identities  run the catalog of known identities
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
@@ -30,9 +31,14 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-# verify compares (n + 1)^8 pairs: the 6,561 at n = 2 take about 2 s and
-# 40 MB, the 65,536 at n = 3 about 38 s and 740 MB
+# verify compares (n + 1)^8 pairs: the 6,561 at n = 2 take about 0.85 s and
+# 22 MB, the 65,536 at n = 3 about 13 s and 100 MB
 MAX_VERIFY_EXP = 2
+
+# species deals labels one assignment at a time, so its cost grows
+# exponentially in the total; the costliest pair, dp(0,3,2,2) * dp(3,0,0,2),
+# takes about 0.4 s at total 12, its peer at 13 about 1.3 s and at 14 5.4 s
+MAX_SPECIES_TOTAL = 12
 
 
 def _exponents(text: str) -> tuple[int, int, int, int]:
@@ -113,6 +119,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_species(args) -> int:
+    if args.max_total > MAX_SPECIES_TOTAL:
+        print(f"error: --max-total must be at most {MAX_SPECIES_TOTAL}", file=sys.stderr)
+        return EXIT_USAGE
     report = species.species_coefficient_check(args.left, args.right, args.max_total)
     for miss in report.mismatches:
         print(f"MISMATCH at sizes {miss.sizes}: species {miss.species_count}, "

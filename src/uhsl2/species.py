@@ -9,19 +9,23 @@ y in three, z in two, h in six blocks, subject to |y3| + |h4| = |h3|.  The
 count must agree with the corresponding coefficient of the algebraic product,
 which ``species_coefficient_check`` verifies size tuple by size tuple.
 
-The enumeration runs over actual subsets of labels, so the multinomial
-factors of the algebraic formula are never inserted by hand; they emerge from
-the number of assignments sharing a block-size profile.  Branches are pruned
-only when a functor factor is already forced to vanish.
+The count runs in two stages.  The block-size profiles are enumerated
+first, in integers, with each size drawn from the functors' slot sizes; a
+profile is dropped only when a functor value or a factor of its weight
+vanishes.  Then, for each profile that survives, the actual labels of each
+color are dealt into its blocks with ``combinations`` and the deals are
+counted one by one.  So the multinomial factors of the algebraic formula are
+never inserted by hand; they emerge as the number of labelled assignments
+sharing a profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import factorial
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import COLORS, Element, NormalMonomial, star
 
@@ -59,7 +63,7 @@ class DividedPower(FunctorSpec):
     c: int
     d: int
 
-    @property
+    @cached_property
     def exponents(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
@@ -78,7 +82,7 @@ class DividedPower(FunctorSpec):
 class Singleton(FunctorSpec):
     color: str
 
-    @property
+    @cached_property
     def exponents(self) -> tuple[int, int, int, int]:
         out = [0, 0, 0, 0]
         out[COLORS.index(self.color)] = 1
@@ -126,11 +130,25 @@ def ascending_maps_count(base: int, m: int, k: int) -> int:
     return count
 
 
-def _sized_subsets(pool: frozenset, sizes: Iterable[int]) -> Iterator[frozenset]:
-    for s in sizes:
-        if 0 <= s <= len(pool):
-            for chosen in combinations(sorted(pool), s):
-                yield frozenset(chosen)
+def _deals(pool: Sequence[int], blocks: Sequence[int]) -> int:
+    """Ways to deal the labels of ``pool`` into blocks of the given sizes.
+
+    The sizes sum to ``len(pool)`` and the last block takes the labels left
+    over.  Every deal is enumerated with ``combinations`` and counted one by
+    one.
+    """
+    if len(blocks) <= 1:
+        return 1
+    first, *rest = blocks
+    count = 0
+    if len(rest) == 1:
+        for _ in combinations(pool, first):
+            count += 1
+        return count
+    for chosen in combinations(pool, first):
+        taken = set(chosen)
+        count += _deals([label for label in pool if label not in taken], rest)
+    return count
 
 
 def star_species(F: FunctorSpec, G: FunctorSpec, sizes: ColoredSizes | Sequence[int]) -> int:
@@ -143,81 +161,85 @@ def star_species(F: FunctorSpec, G: FunctorSpec, sizes: ColoredSizes | Sequence[
              G(|x2|+|h3|, |y2|+|h6|, |z2|, |h2|)
              (2|x2|)^|h5| (2|z1|)^|h6| |y3|! |h4|!
              ascending_maps_count(|z1|+|x2|, |y3|+|h4|, |h4|).
+
+    The contribution depends only on the block sizes, so the count runs in
+    two stages.  ``_profiles`` enumerates the block-size profiles in
+    integers and drops each one on which a functor value or a factor of the
+    weight vanishes.  Then, for each profile that survives, the labels of
+    each color are dealt into its blocks one assignment at a time, and the
+    product of the four deal counts multiplies the weight.
+    """
+    total = 0
+    for weight, *blocks in _profiles(F, G, sizes):
+        count = 1
+        for n, block_sizes in zip(sizes, blocks):
+            # reordering the blocks is a bijection on the deals: dealing the
+            # small ones first leaves the most to the final, uncounted block
+            count *= _deals(range(n), sorted(k for k in block_sizes if k))
+        total += weight * count
+    return total
+
+
+def _profiles(F: FunctorSpec, G: FunctorSpec, sizes: Sequence[int]) -> Iterator[tuple]:
+    """Block-size profiles with a nonzero weight.
+
+    Yields the weight and the block sizes of each color: (x1, x2),
+    (y1, y2, y3), (z2, z1) and (h3, h1, h2, h5, h6, h4).  Each size is drawn
+    from the slot sizes of the functor it feeds, and the loops skip the
+    sizes on which (2|x2|)^|h5|, (2|z1|)^|h6| or ascending_maps_count is 0.
     """
     nx, ny, nz, nh = sizes
-    xs = frozenset(range(nx))
-    ys = frozenset(range(ny))
-    zs = frozenset(range(nz))
-    hs = frozenset(range(nh))
-    total = 0
-    for x1 in _sized_subsets(xs, F.slot_sizes(X, nx)):
-        x2 = xs - x1
-        for z2 in _sized_subsets(zs, G.slot_sizes(Z, nz)):
-            z1 = zs - z2
-            # h3 feeds both F's z-slot and G's x-slot
-            t_candidates = sorted(
-                {fz - len(z1) for fz in F.slot_sizes(Z, len(z1) + nh)}
-                & {gx - len(x2) for gx in G.slot_sizes(X, len(x2) + nh)}
-                & set(range(nh + 1))
-            )
-            for t in t_candidates:
-                for h3 in _sized_subsets(hs, (t,)):
-                    rest = hs - h3
-                    for h1 in _sized_subsets(rest, F.slot_sizes(H, len(rest))):
-                        rest1 = rest - h1
-                        for h2 in _sized_subsets(rest1, G.slot_sizes(H, len(rest1))):
-                            rest2 = rest1 - h2
-                            total += _h56_blocks(
-                                F, G, x1, x2, z1, z2, h1, h2, t, ys, rest2
-                            )
-    return total
-
-
-def _h56_blocks(F, G, x1, x2, z1, z2, h1, h2, t, ys, pool):
-    """Inner blocks: h5, h6 out of ``pool`` (rest is h4), then y1, y2, y3."""
-    ny = len(ys)
-    total = 0
-    f_y_slots = set(F.slot_sizes(Y, ny + len(pool)))
-    g_y_slots = set(G.slot_sizes(Y, ny + len(pool)))
-    for n5 in range(len(pool) + 1):
-        y1_sizes = [fy - n5 for fy in f_y_slots if 0 <= fy - n5 <= ny]
-        if not y1_sizes:
-            continue
-        for h5 in _sized_subsets(pool, (n5,)):
-            rest = pool - h5
-            for n6 in range(len(rest) + 1):
-                y2_sizes = [gy - n6 for gy in g_y_slots if 0 <= gy - n6 <= ny]
-                if not y2_sizes:
+    # each slot at the widest size its blocks can give it; the four slots
+    # fed by a single block are tested first, since most size tuples fail one
+    if not ((fx := F.slot_sizes(X, nx)) and (gz := G.slot_sizes(Z, nz))
+            and (fh := F.slot_sizes(H, nh)) and (gh := G.slot_sizes(H, nh))):
+        return
+    fy, fz = F.slot_sizes(Y, ny + nh), F.slot_sizes(Z, nz + nh)
+    gx, gy = G.slot_sizes(X, nx + nh), G.slot_sizes(Y, ny + nh)
+    for x1 in fx:
+        x2 = nx - x1
+        for z2 in gz:
+            z1 = nz - z2
+            for t in range(nh + 1):
+                # h3 feeds both F's z-slot and G's x-slot
+                if z1 + t not in fz or x2 + t not in gx:
                     continue
-                for h6 in _sized_subsets(rest, (n6,)):
-                    h4 = rest - h6
-                    n4 = len(h4)
-                    n_y3 = t - n4
-                    if n_y3 < 0:
-                        continue
-                    for y1 in _sized_subsets(ys, y1_sizes):
-                        rest_y = ys - y1
-                        for y2 in _sized_subsets(rest_y, y2_sizes):
-                            y3 = rest_y - y2
-                            if len(y3) != n_y3:
-                                continue
-                            fv = F.value((len(x1), len(y1) + n5, len(z1) + t, len(h1)))
-                            if not fv:
-                                continue
-                            gv = G.value((len(x2) + t, len(y2) + n6, len(z2), len(h2)))
-                            if not gv:
-                                continue
-                            total += (
-                                (-1) ** t
-                                * fv
-                                * gv
-                                * (2 * len(x2)) ** n5
-                                * (2 * len(z1)) ** n6
-                                * factorial(n_y3)
-                                * factorial(n4)
-                                * ascending_maps_count(len(z1) + len(x2), n_y3 + n4, n4)
-                            )
-    return total
+                for h1 in fh:
+                    if h1 > nh - t:
+                        break
+                    for h2 in gh:
+                        pool = nh - t - h1 - h2
+                        if pool < 0:
+                            break
+                        for n5 in range(pool + 1 if x2 else 1):
+                            for n6 in range(pool - n5 + 1 if z1 else 1):
+                                n4 = pool - n5 - n6
+                                n_y3 = t - n4
+                                if not 0 <= n_y3 <= ny:
+                                    continue
+                                maps = ascending_maps_count(z1 + x2, t, n4)
+                                if not maps:
+                                    continue
+                                for y_slot in fy:
+                                    y1 = y_slot - n5
+                                    y2 = ny - n_y3 - y1
+                                    if y2 < 0:
+                                        break
+                                    if y1 < 0 or y2 + n6 not in gy:
+                                        continue
+                                    weight = (
+                                        F.value((x1, y_slot, z1 + t, h1))
+                                        * G.value((x2 + t, y2 + n6, z2, h2))
+                                        * (-1) ** t
+                                        * (2 * x2) ** n5
+                                        * (2 * z1) ** n6
+                                        * factorial(n_y3)
+                                        * factorial(n4)
+                                        * maps
+                                    )
+                                    if weight:
+                                        yield (weight, (x1, x2), (y1, y2, n_y3),
+                                               (z2, z1), (t, h1, h2, n5, n6, n4))
 
 
 def valuation_element(spec: FunctorSpec, cap: int) -> Element:

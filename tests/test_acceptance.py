@@ -140,7 +140,7 @@ def test_criterion_5_species_equivalence_sweep():
     ]
     sizes = list(size_tuples(6))
     with criterion(5, "species counts = closed formula, exponents <= 2, total <= 6",
-                   budget=300.0):
+                   budget=15.0):
         checked = 0
         for F in specs:
             for G in specs:

@@ -234,6 +234,21 @@ class TestSpeciesCommand:
             "checked 35 size tuples for z * x (total <= 3): 1 mismatches",
         ]
 
+    @pytest.mark.parametrize("max_total", [str(cli.MAX_SPECIES_TOTAL + 1), "1000000000"])
+    def test_max_total_above_the_bound_is_usage_error(self, max_total):
+        # the bound is checked before any size tuple is counted
+        proc = run_entry_point("species", "--left", "exp(h)", "--right", "exp(h)",
+                               "--max-total", max_total, timeout=5)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: --max-total must be at most {cli.MAX_SPECIES_TOTAL}\n"
+
+    def test_costliest_pair_at_the_bound(self):
+        # the pair that deals the most labels at the largest total
+        proc = run_entry_point("species", "--left", "dp(0,3,2,2)", "--right", "dp(3,0,0,2)",
+                               "--max-total", str(cli.MAX_SPECIES_TOTAL), timeout=5)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.endswith(f"(total <= {cli.MAX_SPECIES_TOTAL}): 0 mismatches\n")
+
     def test_bad_functor_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["species", "--left", "w", "--right", "x", "--max-total", "2"])

@@ -51,6 +51,24 @@ def test_species_takes_only_the_container_and_star():
     assert imports.get(".algebra", set()) <= {"COLORS", "Element", "NormalMonomial", "star"}
 
 
+def test_species_counts_blocks_by_enumeration():
+    # block multiplicities come from dealing labels, never from a formula
+    tree = module_tree("species")
+    from_math = {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "math"
+        for alias in node.names
+    }
+    assert from_math <= {"factorial"}
+    assert not [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name == "math" for a in node.names)
+    ]
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"comb", "multinomial"}
+
+
 def test_species_calls_star_only_in_the_coefficient_check():
     tree = module_tree("species")
     (check,) = [

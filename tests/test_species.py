@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_species import reference_star_species
 from uhsl2 import species
-from uhsl2.algebra import Element, exp_series, star
+from uhsl2.algebra import COLORS, Element, exp_series, star
 from uhsl2.combinatorics import shifted_elem
 from uhsl2.species import (
     ColoredSizes,
@@ -14,6 +17,7 @@ from uhsl2.species import (
     Singleton,
     SpeciesMismatch,
     ascending_maps_count,
+    size_tuples,
     species_coefficient_check,
     star_species,
     valuation_element,
@@ -128,6 +132,47 @@ class TestStarSpecies:
         assert star_species(F, G, (2, 0, 1, 0)) == 1
         assert star_species(F, G, (1, 1, 0, 1)) == -1
         assert star_species(F, G, (1, 0, 0, 2)) == -2
+
+
+FUNCTORS = st.one_of(
+    st.builds(DividedPower, *[st.integers(0, 3)] * 4),
+    st.builds(Singleton, st.sampled_from(COLORS)),
+    st.builds(Exponential, st.sampled_from(COLORS)),
+)
+SIZES_7 = list(size_tuples(7))
+
+
+@st.composite
+def functor_pair_and_sizes(draw):
+    F, G = draw(FUNCTORS), draw(FUNCTORS)
+    # the product keeps the total degree and the weight nx - nz, so most
+    # size tuples give 0; aim at the degree and weight the pair can reach
+    fixed = [spec.exponents for spec in (F, G) if hasattr(spec, "exponents")]
+    degree = sum(map(sum, fixed))
+    if len(fixed) == 2 and degree <= 7:
+        total, weight = degree, sum(e[0] - e[2] for e in fixed)
+    else:
+        total, weight = draw(st.integers(min(degree, 7), 7)), None
+    sizes = [s for s in SIZES_7 if sum(s) == total and weight in (None, s[0] - s[2])]
+    return F, G, draw(st.sampled_from(sizes))
+
+
+class TestAgainstReference:
+    """Profiles first, labels second, against the frozenset walk."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(functor_pair_and_sizes())
+    def test_random_pairs_up_to_total_7(self, case):
+        F, G, sizes = case
+        assert star_species(F, G, sizes) == reference_star_species(F, G, sizes)
+
+    def test_exponentials_and_singletons_up_to_total_5(self):
+        specs = [Exponential(c) for c in COLORS] + [Singleton(c) for c in COLORS]
+        for F in specs:
+            for G in specs:
+                for sizes in size_tuples(5):
+                    assert star_species(F, G, sizes) == reference_star_species(F, G, sizes), (
+                        F, G, sizes)
 
 
 class TestValuation:
