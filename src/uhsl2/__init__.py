@@ -6,7 +6,13 @@ The noncommutative product is available through three independent routes that
 cross-check each other: the closed coefficient formula (`algebra`), a
 term-rewriting normalizer (`rewrite`), and a labelled-set species enumeration
 (`species`).
+
+The names of the `rewrite` and `species` routes load on first access, so that
+``import uhsl2`` (and a ``uhsl2 star`` process) compiles and runs only the
+closed-formula path; ``from uhsl2 import oracle_star`` works as before.
 """
+
+from importlib import import_module
 
 from .algebra import (
     Element,
@@ -29,19 +35,38 @@ from .combinatorics import (
     vam3_rhs,
 )
 from .expressions import EvalError, ParseError, evaluate, parse, to_text
-from .rewrite import normalize, oracle_star, rewrite_step, to_element
 from .serialize import element_from_json, element_to_json, pretty
-from .species import (
-    ColoredSizes,
-    DividedPower,
-    Exponential,
-    FunctorSpec,
-    Singleton,
-    ascending_maps_count,
-    species_coefficient_check,
-    species_element,
-    star_species,
-    valuation_element,
-)
+
+# name -> the submodule that defines it; the two submodules map to themselves
+_LAZY = {
+    "rewrite": "rewrite",
+    **dict.fromkeys(("normalize", "oracle_star", "rewrite_step", "to_element"), "rewrite"),
+    "species": "species",
+    **dict.fromkeys((
+        "ColoredSizes",
+        "DividedPower",
+        "Exponential",
+        "FunctorSpec",
+        "Singleton",
+        "ascending_maps_count",
+        "species_coefficient_check",
+        "species_element",
+        "star_species",
+        "valuation_element",
+    ), "species"),
+}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_LAZY[name]}", __name__)
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -19,12 +19,18 @@ import argparse
 import sys
 from fractions import Fraction
 from itertools import product
+from typing import TYPE_CHECKING
 
-from . import algebra, rewrite, species
+# rewrite and species are imported by the commands that use them, so that a
+# `star` process loads only the closed-formula path
+from . import algebra
 from .algebra import mono_star_mono, normal_order_zx, star
 from .combinatorics import shifted_elem, vam3_lhs, vam3_rhs
 from .expressions import EvalError, ParseError, evaluate, parse
 from .serialize import element_to_json, pretty
+
+if TYPE_CHECKING:
+    from .species import FunctorSpec
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -41,20 +47,27 @@ MAX_VERIFY_EXP = 2
 MAX_SPECIES_TOTAL = 12
 
 
+def _is_natural(text: str) -> bool:
+    # str.isdigit alone also accepts superscripts and other scripts' digits
+    return text.isascii() and text.isdigit()
+
+
 def _exponents(text: str) -> tuple[int, int, int, int]:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4 or not all(p.isdigit() for p in parts):
+    if len(parts) != 4 or not all(_is_natural(p) for p in parts):
         raise argparse.ArgumentTypeError(f"expected a,b,c,d naturals, got {text!r}")
     return tuple(int(p) for p in parts)
 
 
 def _natural(text: str) -> int:
-    if not text.strip().isdigit():
+    if not _is_natural(text.strip()):
         raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
     return int(text)
 
 
-def _functor(text: str) -> species.FunctorSpec:
+def _functor(text: str) -> FunctorSpec:
+    from . import species
+
     text = text.strip().lower()
     if text in ("x", "y", "z", "h"):
         return species.Singleton(text)
@@ -64,7 +77,7 @@ def _functor(text: str) -> species.FunctorSpec:
             return species.Exponential(color)
     if text.startswith("dp(") and text.endswith(")"):
         parts = text[3:-1].split(",")
-        if len(parts) == 4 and all(p.strip().isdigit() for p in parts):
+        if len(parts) == 4 and all(_is_natural(p.strip()) for p in parts):
             return species.DividedPower(*(int(p) for p in parts))
     raise argparse.ArgumentTypeError(
         f"expected x|y|z|h, exp(<gen>) or dp(a,b,c,d), got {text!r}"
@@ -95,6 +108,8 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import rewrite
+
     top = args.max_exp
     if top > MAX_VERIFY_EXP:
         print(f"error: --max-exp must be at most {MAX_VERIFY_EXP}", file=sys.stderr)
@@ -119,6 +134,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_species(args) -> int:
+    from . import species
+
     if args.max_total > MAX_SPECIES_TOTAL:
         print(f"error: --max-total must be at most {MAX_SPECIES_TOTAL}", file=sys.stderr)
         return EXIT_USAGE
@@ -132,6 +149,8 @@ def cmd_species(args) -> int:
 
 
 def _identity_catalog():
+    from . import rewrite, species
+
     x, y, z, h = (algebra.Element.monomial(m) for m in
                   ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
     xy_2xh = algebra.Element({(1, 1, 0, 0): 1, (1, 0, 0, 1): 2})

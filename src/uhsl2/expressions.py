@@ -11,19 +11,22 @@ Grammar (infix, left associative):
     gen    := 'x' | 'y' | 'z' | 'h'
 
 '*' is the star product and is mandatory (juxtaposition is nothing);
-``m(a,b,c,d)`` is the divided monomial.  Rationals are integers or
-``num/den``.  ``exp(...)`` only evaluates under an explicit degree cap, and
+``m(a,b,c,d)`` is the divided monomial.  Numbers are runs of the ASCII
+digits 0-9 (no other script's digits, no superscripts); rationals are integers
+or ``num/den``.  ``exp(...)`` only evaluates under an explicit degree cap, and
 ``evaluate`` accepts caps up to ``MAX_CAP``.  ``Sum`` and ``StarProduct`` are
 n-ary (``a * b * c`` is one node of three factors), so parse, print and
 evaluate loop over operands and recurse only at parentheses and unary minus.
 Those nest at most ``MAX_NESTING`` deep; deeper input is a ``ParseError``,
 before any recursion can reach the interpreter's limit.  ``==`` and ``hash``
 on syntax trees walk them with an explicit stack and do not recurse at all.
+The node classes are plain immutable classes with ``__slots__`` and a
+``_fields`` tuple, not dataclasses, so that a ``uhsl2 star`` process does not
+import ``dataclasses`` and ``inspect`` to start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .algebra import COLORS, Element, NormalMonomial, exp_series
@@ -40,14 +43,31 @@ class EvalError(ValueError):
 
 
 class Expression:
-    """A syntax-tree node; the node classes are frozen dataclasses.
+    """A syntax-tree node.
 
-    ``==`` gives the dataclass answer (same class, equal fields, operand
-    tuples compared item by item), and ``hash`` agrees with it, but both
-    read the tree from ``_preorder``, which walks it without recursing.
-    ``repr`` gives the dataclass text, such as
-    ``Negate(operand=Generator(color='x'))``, built with an explicit stack.
+    Each node class names its fields in ``_fields`` (also its ``__slots__``)
+    and sets them once in ``__init__``, by position or keyword; assigning to
+    or deleting any attribute afterwards raises ``AttributeError``.  ``==``
+    is true for the same class with equal fields, operand tuples compared
+    item by item, and ``hash`` agrees with it; both read the tree from
+    ``_preorder``, which walks it without recursing.  ``repr`` spells out
+    every class and field, such as ``Negate(operand=Generator(color='x'))``,
+    built with an explicit stack.
     """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a node through its constructor, since
+        # restoring slot state would go through __setattr__
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -68,8 +88,8 @@ class Expression:
                 continue
             if isinstance(item, Expression):
                 todo = [(True, f"{item.__class__.__qualname__}(")]
-                for i, f in enumerate(fields(item)):
-                    todo += [(True, ", " * (i > 0) + f"{f.name}="), (False, getattr(item, f.name))]
+                for i, name in enumerate(item._fields):
+                    todo += [(True, ", " * (i > 0) + f"{name}="), (False, getattr(item, name))]
                 todo.append((True, ")"))
             elif type(item) is tuple:
                 todo = [(True, "(")]
@@ -91,7 +111,7 @@ def _preorder(node: Expression) -> list[tuple]:
         item = stack.pop()
         if isinstance(item, Expression):
             items.append(("node", item.__class__))
-            stack.extend(reversed([getattr(item, f.name) for f in fields(item)]))
+            stack.extend(reversed([getattr(item, name) for name in item._fields]))
         elif type(item) is tuple:
             items.append(("tuple", len(item)))
             stack.extend(reversed(item))
@@ -100,53 +120,68 @@ def _preorder(node: Expression) -> list[tuple]:
     return items
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+# sets a field past Expression.__setattr__; only the node constructors use it
+_set = object.__setattr__
+
+
 class Literal(Expression):
-    value: Fraction
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Fraction):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Generator(Expression):
-    color: str
+    __slots__ = _fields = ("color",)
+
+    def __init__(self, color: str):
+        _set(self, "color", color)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class DividedMono(Expression):
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = _fields = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Exp(Expression):
-    color: str
+    __slots__ = _fields = ("color",)
+
+    def __init__(self, color: str):
+        _set(self, "color", color)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Sum(Expression):
-    terms: tuple[Expression, ...]
+    __slots__ = _fields = ("terms",)
 
-    def __post_init__(self):
-        if len(self.terms) < 2:
+    def __init__(self, terms: tuple[Expression, ...]):
+        if len(terms) < 2:
             raise ValueError("a Sum needs two or more terms")
+        _set(self, "terms", terms)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class StarProduct(Expression):
-    factors: tuple[Expression, ...]
+    __slots__ = _fields = ("factors",)
 
-    def __post_init__(self):
-        if len(self.factors) < 2:
+    def __init__(self, factors: tuple[Expression, ...]):
+        if len(factors) < 2:
             raise ValueError("a StarProduct needs two or more factors")
+        _set(self, "factors", factors)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Negate(Expression):
-    operand: Expression
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, operand: Expression):
+        _set(self, "operand", operand)
 
 
 _PUNCT = "()+-*/,"
+_DIGITS = "0123456789"  # str.isdigit would also take superscripts and other scripts' digits
 MAX_NESTING = 200
 MAX_CAP = 32
 
@@ -161,9 +196,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         elif ch in _PUNCT:
             tokens.append((ch, ch, i))
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(("num", text[i:j], i))
             i = j

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import resource
+import shlex
 import subprocess
 import sys
 from math import factorial
@@ -34,13 +35,18 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def run_entry_point(*argv, timeout=30):
-    """Run ``python -m uhsl2.cli`` from this source tree in a child process."""
+def run_python(*args, timeout=30):
+    """Run the interpreter on this source tree in a child process."""
     src = Path(uhsl2.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    return subprocess.run([sys.executable, "-m", "uhsl2.cli", *argv], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=timeout,
                           preexec_fn=_limit_memory)
+
+
+def run_entry_point(*argv, timeout=30):
+    """Run ``python -m uhsl2.cli`` from this source tree in a child process."""
+    return run_python("-m", "uhsl2.cli", *argv, timeout=timeout)
 
 
 class TestStarCommand:
@@ -143,6 +149,39 @@ class TestStarCommand:
         assert out == ""
         assert err == "internal error: RuntimeError: boom\n"
 
+    @pytest.mark.parametrize("expr, char, position", [
+        ("²", "²", 0),
+        ("x + ³/2", "³", 4),
+        ("m(1,2,3,٣)", "٣", 8),
+        ("1/０", "０", 2),
+    ])
+    def test_non_ascii_digits_are_parse_errors(self, expr, char, position):
+        # str.isdigit accepts these, but int() rejects the superscripts and
+        # reads the Arabic-Indic and fullwidth digits as 3 and 0
+        proc = run_entry_point("star", "--expr", expr)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"parse error: unexpected character {char!r} "
+                               f"(at position {position})\n")
+
+    def test_star_loads_only_its_path(self):
+        # a star process loads neither other route, nor dataclasses (with inspect)
+        code = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import uhsl2.cli\n"
+            "status = uhsl2.cli.main(['star', '--expr', 'x * y'])\n"
+            "print(json.dumps([status, sorted(set(sys.modules) - before)]))\n"
+        )
+        proc = run_python("-c", code)
+        product, report = proc.stdout.splitlines()
+        status, loaded = json.loads(report)
+        assert (status, product, proc.stderr) == (0, "x y", "")
+        assert {name for name in loaded if name.startswith("uhsl2")} == {
+            "uhsl2", "uhsl2.algebra", "uhsl2.cli", "uhsl2.combinatorics",
+            "uhsl2.expressions", "uhsl2.serialize",
+        }
+        assert not {"dataclasses", "inspect"} & set(loaded)
+
     def test_negative_cap_is_usage_error(self, capsys):
         code, _, err = run(capsys, "star", "--expr", "exp(x)", "--cap", "-1")
         assert code == 2
@@ -167,6 +206,19 @@ class TestCoeffCommand:
             main(["coeff", "--left", "0,0,2", "--right", "2,0,0,0",
                   "--out", "0,1,0,3"])
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeff", "--left", "0,0,٢,0", "--right", "2,0,0,0", "--out", "0,1,0,3"],
+    ["coeff", "--left", "0,0,²,0", "--right", "2,0,0,0", "--out", "0,1,0,3"],
+    ["verify", "--max-exp", "١"],
+    ["species", "--left", "dp(٢,0,0,0)", "--right", "x", "--max-total", "2"],
+])
+def test_non_ascii_digits_in_arguments_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 class TestVerifyCommand:
@@ -263,3 +315,58 @@ class TestIdentitiesCommand:
         assert lines and all(line.startswith("PASS") for line in lines)
         assert any("five-term" in line for line in lines)
         assert any("defining relation" in line for line in lines)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the commands of README's CLI section with their stdout, pinned byte for byte:
+# a refactoring that changes what a user sees fails here
+README_COMMANDS = [
+    (["star", "--expr", "y * x"], "2 x h + x y\n"),
+    (["star", "--expr", "m(0,0,2,0) * m(2,0,0,0)", "--format", "json"],
+     '{"cap": null, "terms": [{"m": [0, 1, 0, 3], "num": "3", "den": "1"}, '
+     '{"m": [0, 2, 0, 2], "num": "2", "den": "1"}, '
+     '{"m": [1, 0, 1, 2], "num": "-4", "den": "1"}, '
+     '{"m": [1, 1, 1, 1], "num": "-1", "den": "1"}, '
+     '{"m": [2, 0, 2, 0], "num": "1", "den": "1"}]}\n'),
+    (["star", "--expr", "exp(z) * exp(x)", "--cap", "4"],
+     "1 + z - 2 z h^2 / (2!) + z^2 / (2!) - 4 z^2 h^2 / (2! 2!) + z^3 / (3!) + z^4 / (4!) "
+     "- y h + 3 y h^3 / (3!) - y z h - y z^2 h / (2!) + 2 y^2 h^2 / (2! 2!) + x "
+     "- 2 x h^2 / (2!) + x z - 4 x z h^2 / (2!) + x z^2 / (2!) + x z^3 / (3!) - x y h "
+     "- x y z h + x^2 / (2!) - 4 x^2 h^2 / (2! 2!) + x^2 z / (2!) + x^2 z^2 / (2! 2!) "
+     "- x^2 y h / (2!) + x^3 / (3!) + x^3 z / (3!) + x^4 / (4!)\n"),
+    (["coeff", "--left", "0,0,2,0", "--right", "2,0,0,0", "--out", "0,1,0,3"], "3\n"),
+    (["verify", "--max-exp", "2"],
+     "verified 6561 monomial pairs with exponents <= 2: 0 mismatches, "
+     "0 integrality violations\n"),
+    (["species", "--left", "dp(0,0,2,0)", "--right", "dp(2,0,0,0)", "--max-total", "4"],
+     "checked 70 size tuples for dp(0,0,2,0) * dp(2,0,0,0) (total <= 4): 0 mismatches\n"),
+    (["identities"],
+     "PASS  defining relation y*x = xy + 2xh\n"
+     "PASS  defining relation z*x = xz - yh\n"
+     "PASS  defining relation z*y = yz + 2zh\n"
+     "PASS  worked example z * m(2,0,0,0), closed formula\n"
+     "PASS  worked example z * m(2,0,0,0), rewrite oracle\n"
+     "PASS  worked example z * m(2,0,0,0), species counts\n"
+     "PASS  five-term identity m(0,0,2,0) * m(2,0,0,0), closed formula\n"
+     "PASS  five-term identity m(0,0,2,0) * m(2,0,0,0), rewrite oracle\n"
+     "PASS  five-term identity m(0,0,2,0) * m(2,0,0,0), species counts\n"
+     "PASS  symbol recursion (a)^s_n\n"
+     "PASS  cubic evaluation (a)^3_4\n"
+     "PASS  shifted product expansion, a in -4..8, n in 0..6\n"
+     "PASS  z-x normal ordering matches the oracle up to 4\n"),
+]
+
+
+class TestReadmeCommands:
+    def test_pins_cover_the_readme(self):
+        listed = [shlex.split(line, comments=True)[1:]
+                  for line in README.read_text().splitlines() if line.startswith("uhsl2 ")]
+        assert listed == [argv for argv, _ in README_COMMANDS]
+
+    @pytest.mark.parametrize("argv, stdout", README_COMMANDS,
+                             ids=[" ".join(argv) for argv, _ in README_COMMANDS])
+    def test_stdout_is_pinned(self, argv, stdout):
+        proc = run_entry_point(*argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == stdout

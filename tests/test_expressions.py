@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 from math import factorial
 
@@ -224,6 +226,42 @@ class TestTreeEquality:
         assert (a != b) == (repr(a) != repr(b))
         if a == b:
             assert hash(a) == hash(b)
+
+
+_x, _y = Generator("x"), Generator("y")
+
+# one node of each class with its fields by name
+NODES = [
+    (Literal(Fraction(3, 4)), {"value": Fraction(3, 4)}),
+    (Generator("x"), {"color": "x"}),
+    (DividedMono(1, 2, 3, 4), {"a": 1, "b": 2, "c": 3, "d": 4}),
+    (Exp("z"), {"color": "z"}),
+    (Sum((_x, _y)), {"terms": (_x, _y)}),
+    (StarProduct((_x, _y)), {"factors": (_x, _y)}),
+    (Negate(_x), {"operand": _x}),
+]
+
+
+@pytest.mark.parametrize("node, fields", NODES, ids=[type(n).__name__ for n, _ in NODES])
+class TestNodeContract:
+    def test_nodes_are_immutable(self, node, fields):
+        for name in [*fields, "other"]:
+            with pytest.raises(AttributeError):
+                setattr(node, name, Generator("h"))
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert {name: getattr(node, name) for name in fields} == fields
+
+    def test_keywords_construct_the_same_node(self, node, fields):
+        by_keyword = type(node)(**fields)
+        assert by_keyword == node
+        assert hash(by_keyword) == hash(node)
+        assert repr(by_keyword) == repr(node)
+
+    def test_copies_are_equal(self, node, fields):
+        assert copy.copy(node) == node
+        assert copy.deepcopy(node) == node
+        assert pickle.loads(pickle.dumps(node)) == node
 
 
 class TestEvaluate:
