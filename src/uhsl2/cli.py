@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_star = sub.add_parser("star", help="evaluate an expression")
     p_star.add_argument("--expr", required=True)
-    p_star.add_argument("--cap", type=int, default=None,
+    p_star.add_argument("--cap", type=_natural, default=None,
                         help="degree cap (required for exp(...))")
     p_star.add_argument("--format", choices=("json", "pretty"), default="pretty")
     p_star.set_defaults(func=cmd_star)

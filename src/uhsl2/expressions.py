@@ -14,7 +14,8 @@ Grammar (infix, left associative):
 ``m(a,b,c,d)`` is the divided monomial.  Numbers are runs of the ASCII
 digits 0-9 (no other script's digits, no superscripts); rationals are integers
 or ``num/den``.  ``exp(...)`` only evaluates under an explicit degree cap, and
-``evaluate`` accepts caps up to ``MAX_CAP``.  ``Sum`` and ``StarProduct`` are
+``evaluate`` accepts caps up to ``MAX_CAP`` and expands at most ``MAX_PAIRS``
+monomial pairs over all its products.  ``Sum`` and ``StarProduct`` are
 n-ary (``a * b * c`` is one node of three factors), so parse, print and
 evaluate loop over operands and recurse only at parentheses and unary minus.
 Those nest at most ``MAX_NESTING`` deep; deeper input is a ``ParseError``,
@@ -184,6 +185,12 @@ _PUNCT = "()+-*/,"
 _DIGITS = "0123456789"  # str.isdigit would also take superscripts and other scripts' digits
 MAX_NESTING = 200
 MAX_CAP = 32
+# one evaluate expands at most this many monomial pairs, summed over its
+# products.  Chains of capped series products run at 0.6-4 us a pair, so the
+# bound is under 0.5 s of them; the largest pinned request, a flat sum of
+# 2,000 terms, expands 2,000 pairs.  The bound counts pairs, not their degree:
+# a pair of distinct degree-16 monomials can take 0.5 ms
+MAX_PAIRS = 100_000
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -347,9 +354,20 @@ def _factor_text(node: Expression) -> str:
 
 
 def evaluate(node: Expression, cap: int | None = None) -> Element:
-    """Bottom-up evaluation to an Element under an optional degree cap."""
+    """Bottom-up evaluation to an Element under an optional degree cap.
+
+    Raises ``EvalError`` before any product that would bring the monomial
+    pairs expanded by this call, ``len(f.terms) * len(g.terms)`` for each
+    product ``f * g``, above ``MAX_PAIRS``.
+    """
     if cap is not None and not 0 <= cap <= MAX_CAP:
         raise EvalError(f"degree cap must be a natural number at most {MAX_CAP}")
+    return _evaluate(node, cap, [MAX_PAIRS])
+
+
+def _evaluate(node: Expression, cap: int | None, budget: list[int]) -> Element:
+    """``evaluate`` after its cap check; ``budget[0]`` holds the monomial
+    pairs the call may still expand."""
     if isinstance(node, Literal):
         return Element({NormalMonomial(0, 0, 0, 0): node.value}, cap)
     if isinstance(node, Generator):
@@ -365,14 +383,19 @@ def evaluate(node: Expression, cap: int | None = None) -> Element:
     if isinstance(node, Sum):
         out: dict[NormalMonomial, Fraction | int] = {}
         for term in node.terms:
-            for mono, coeff in evaluate(term, cap).terms.items():
+            for mono, coeff in _evaluate(term, cap, budget).terms.items():
                 out[mono] = out.get(mono, 0) + coeff
         return Element(out, cap)
     if isinstance(node, StarProduct):
-        product = evaluate(node.factors[0], cap)
+        product = _evaluate(node.factors[0], cap, budget)
         for factor in node.factors[1:]:
-            product = product * evaluate(factor, cap)
+            right = _evaluate(factor, cap, budget)
+            budget[0] -= len(product.terms) * len(right.terms)
+            if budget[0] < 0:
+                raise EvalError(f"the products expand more than {MAX_PAIRS} "
+                                f"monomial pairs")
+            product = product * right
         return product
     if isinstance(node, Negate):
-        return -evaluate(node.operand, cap)
+        return -_evaluate(node.operand, cap, budget)
     raise TypeError(f"not an expression node: {node!r}")

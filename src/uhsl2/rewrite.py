@@ -12,21 +12,19 @@ inversion count drops by one) or trades a non-H letter for an H (the non-H
 letter count drops), so the pair (#non-H letters, #inversions) decreases
 lexicographically with every step.  With the rules' overlaps resolvable,
 Bergman's diamond lemma (Adv. Math. 29, 1978) makes the normal form
-independent of the order of rewriting; the two strategies below are two such
-orders, and the tests compare them.
+independent of the order of rewriting; the tests check ``normalize``
+against whole-word rewriting by ``rewrite_step`` in both its orders.
 
-``normalize`` reads a word one letter at a time and inserts each letter into
-every normal word of a running sum.  Only the pair at the insertion point can
-be inverted, and it is rewritten by the same rules through ``rewrite_step``.
-The strategy is the insertion order: ``"leftmost"`` appends letters left to
-right, which is exactly leftmost-first rewriting, and ``"rightmost"``
-prepends them right to left.
+``normalize`` reads a word left to right and appends each letter to every
+normal word of a running sum.  Only the pair at the boundary can be
+inverted, and its rule outputs come straight from ``_RULES``, so this is
+exactly leftmost-first rewriting.
 
-The memo of insertions, one per strategy and keyed on (normal word, letter),
-is the only shared state.  It lives for the whole process, so a verification
-sweep pays for each insertion once; its keys are normal words, so it holds
-no intermediate word of any rewrite.  Entries are only ever added, never
-mutated, so concurrent callers at worst compute an entry twice.
+The memo of insertions, keyed on (normal word, letter), is the only shared
+state.  It lives for the whole process, so a verification sweep pays for
+each insertion once; its keys are normal words, so it holds no intermediate
+word of any rewrite.  Entries are only ever added, never mutated, so
+concurrent callers at worst compute an entry twice.
 """
 
 from __future__ import annotations
@@ -52,9 +50,8 @@ _RULES: dict[str, tuple[tuple[str, int], ...]] = {
     "HZ": (("ZH", 1),),
 }
 
-# (normal word, letter) -> normal form of the word with the letter inserted at
-# its right end ("leftmost") or its left end ("rightmost")
-_MEMO: dict[str, dict[tuple[FreeWord, str], WordSum]] = {"leftmost": {}, "rightmost": {}}
+# (normal word, letter) -> normal form of the word with the letter appended
+_MEMO: dict[tuple[FreeWord, str], WordSum] = {}
 
 
 def is_normal(word: FreeWord) -> bool:
@@ -81,49 +78,37 @@ def rewrite_step(word: FreeWord, strategy: str = "leftmost") -> WordSum | None:
     return None
 
 
-def _known(word: FreeWord, letter: str, leftmost: bool, memo) -> WordSum | None:
-    """The normal form of the normal ``word`` with ``letter`` appended
-    (leftmost) or prepended (rightmost), when the joined word is normal or
-    in the memo; None otherwise."""
-    if leftmost:
-        if not word or _RANK[word[-1]] <= _RANK[letter]:
-            return {word + letter: 1}
-    elif not word or _RANK[letter] <= _RANK[word[0]]:
-        return {letter + word: 1}
-    return memo.get((word, letter))
+def _known(word: FreeWord, letter: str) -> WordSum | None:
+    """The normal form of the normal ``word`` with ``letter`` appended, when
+    the joined word is normal or in the memo; None otherwise."""
+    if not word or _RANK[word[-1]] <= _RANK[letter]:
+        return {word + letter: 1}
+    return _MEMO.get((word, letter))
 
 
-def _insert(word: FreeWord, letter: str, leftmost: bool, memo) -> WordSum:
-    """Normalize the normal ``word`` with ``letter`` inserted at its right
-    end (leftmost) or its left end (rightmost), for a key not ``_known`` yet.
+def _insert(word: FreeWord, letter: str) -> WordSum:
+    """Normalize the normal ``word`` with ``letter`` appended, for a key not
+    ``_known`` yet.
 
     Only the pair at the boundary is inverted; each of its rule outputs
-    ``u v`` replaces it, so the result is ``rest`` (``word`` minus its
-    boundary letter) with the inner letter of ``u v`` inserted, and then the
-    outer one inserted into each resulting normal word.  A work stack of
-    (normal word, letter) keys resolves these in dependency order, so the
-    word length sets no recursion depth.
+    ``u v`` replaces it, so the result is ``rest`` (``word`` minus its last
+    letter) with ``u`` appended, and then ``v`` appended to each resulting
+    normal word.  A work stack of (normal word, letter) keys resolves these
+    in dependency order, so the word length sets no recursion depth.
     """
     stack = [(word, letter)]
     while stack:
         key = stack[-1]
-        if key in memo:
+        if key in _MEMO:
             stack.pop()
             continue
         w, c = key
-        # (inner letter, outer letter, coefficient) of each rule output
-        if leftmost:
-            rest = w[:-1]
-            step = [(uv[0], uv[1], k) for uv, k in rewrite_step(w[-1] + c).items()]
-        else:
-            rest = w[1:]
-            step = [(uv[1], uv[0], k) for uv, k in rewrite_step(c + w[0]).items()]
-        firsts = [(_known(rest, inner, leftmost, memo), (rest, inner), outer, k)
-                  for inner, outer, k in step]
+        rest = w[:-1]
+        firsts = [(_known(rest, u), (rest, u), v, k) for (u, v), k in _RULES[w[-1] + c]]
         missing = [need for got, need, _, _ in firsts if got is None]
         if not missing:
-            seconds = [(_known(p, outer, leftmost, memo), (p, outer), k * j)
-                       for got, _, outer, k in firsts for p, j in got.items()]
+            seconds = [(_known(p, v), (p, v), k * j)
+                       for got, _, v, k in firsts for p, j in got.items()]
             missing = [need for got, need, _ in seconds if got is None]
         if missing:
             stack.extend(missing)
@@ -132,34 +117,30 @@ def _insert(word: FreeWord, letter: str, leftmost: bool, memo) -> WordSum:
         for got, _, k in seconds:
             for q, j in got.items():
                 combined[q] = combined.get(q, 0) + k * j
-        memo[key] = {q: v for q, v in combined.items() if v}
+        _MEMO[key] = {q: v for q, v in combined.items() if v}
         stack.pop()
-    return memo[(word, letter)]
+    return _MEMO[(word, letter)]
 
 
-def normalize(word: FreeWord, strategy: str = "leftmost") -> WordSum:
+def normalize(word: FreeWord) -> WordSum:
     """Exhaustively rewrite ``word`` into a combination of normal words.
 
-    The letters are inserted one at a time into a running sum of normal
-    words: appended left to right for ``"leftmost"``, prepended right to left
-    for ``"rightmost"``.  This is exactly leftmost (rightmost) rewriting: on
-    ``n c rest`` with ``n`` normal, the leftmost inverted pair stays inside
-    ``n c`` until that prefix is normal again, and ``rest`` is untouched.
-    Insertions are memoized per strategy on (normal word, letter) for the
-    life of the process; the memo grows with the distinct normal words met,
-    not with the rewrite branches.  No step recurses, so the word length is
-    not limited by the interpreter's recursion depth.
+    The letters are appended left to right to a running sum of normal words.
+    This is exactly leftmost rewriting: on ``n c rest`` with ``n`` normal,
+    the leftmost inverted pair stays inside ``n c`` until that prefix is
+    normal again, and ``rest`` is untouched.  Insertions are memoized on
+    (normal word, letter) for the life of the process; the memo grows with
+    the distinct normal words met, not with the rewrite branches.  No step
+    recurses, so the word length is not limited by the interpreter's
+    recursion depth.
     """
-    if strategy not in _MEMO:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    memo, leftmost = _MEMO[strategy], strategy == "leftmost"
     total: WordSum = {"": 1}
-    for letter in word if leftmost else word[::-1]:
+    for letter in word:
         nxt: WordSum = {}
         for w, k in total.items():
-            got = _known(w, letter, leftmost, memo)
+            got = _known(w, letter)
             if got is None:
-                got = _insert(w, letter, leftmost, memo)
+                got = _insert(w, letter)
             for q, j in got.items():
                 nxt[q] = nxt.get(q, 0) + k * j
         total = {q: v for q, v in nxt.items() if v}

@@ -13,22 +13,19 @@ from fractions import Fraction
 from .algebra import Element
 
 
-def element_to_dict(element: Element) -> dict:
+def element_to_json(element: Element) -> str:
     terms = []
     for mono in sorted(element.terms):
         coeff = Fraction(element.terms[mono])
         terms.append(
             {"m": list(mono), "num": str(coeff.numerator), "den": str(coeff.denominator)}
         )
-    return {"cap": element.cap, "terms": terms}
+    return json.dumps({"cap": element.cap, "terms": terms})
 
 
-def element_to_json(element: Element, indent: int | None = None) -> str:
-    return json.dumps(element_to_dict(element), indent=indent)
-
-
-def element_from_dict(data: dict) -> Element:
-    """Inverse of ``element_to_dict``; malformed input raises ValueError."""
+def element_from_json(text: str) -> Element:
+    """Inverse of ``element_to_json``; malformed input raises ValueError."""
+    data = json.loads(text)
     if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise ValueError(f"expected an object with a 'terms' list, got {data!r}")
     cap = data.get("cap")
@@ -46,10 +43,6 @@ def element_from_dict(data: dict) -> Element:
             raise ValueError(f"malformed term {entry!r}: m must be 4 naturals")
         terms[mono] = coeff
     return Element(terms, cap)
-
-
-def element_from_json(text: str) -> Element:
-    return element_from_dict(json.loads(text))
 
 
 def pretty(element: Element) -> str:

@@ -19,7 +19,7 @@ import uhsl2
 from uhsl2 import cli, rewrite, species
 from uhsl2.algebra import Element
 from uhsl2.cli import main
-from uhsl2.expressions import MAX_CAP, evaluate, parse
+from uhsl2.expressions import MAX_CAP, MAX_PAIRS, evaluate, parse
 from uhsl2.serialize import element_from_json, element_to_json
 
 
@@ -133,6 +133,15 @@ class TestStarCommand:
         assert element.coefficient((MAX_CAP, 0, 0, 0)) == 1
         assert element.coefficient((0, 0, MAX_CAP, 0)) == 1
 
+    def test_chain_of_products_is_usage_error(self):
+        # the terms of each product multiply into the next: the outer product
+        # here would expand 1,477^2 pairs, stopped before it runs
+        proc = run_entry_point("star", "--expr", "(exp(z) * exp(x)) * (exp(z) * exp(x))",
+                               "--cap", "16", timeout=5)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: the products expand more than {MAX_PAIRS} "
+                               f"monomial pairs\n")
+
     def test_deep_nesting_is_usage_error(self, capsys):
         code, out, err = run(capsys, "star", "--expr", "(" * 3000 + "x" + ")" * 3000)
         assert code == 2
@@ -183,9 +192,10 @@ class TestStarCommand:
         assert not {"dataclasses", "inspect"} & set(loaded)
 
     def test_negative_cap_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "star", "--expr", "exp(x)", "--cap", "-1")
-        assert code == 2
-        assert "natural" in err
+        with pytest.raises(SystemExit) as err:
+            main(["star", "--expr", "exp(x)", "--cap", "-1"])
+        assert err.value.code == 2
+        assert "natural" in capsys.readouterr().err
 
 
 class TestCoeffCommand:
@@ -212,6 +222,8 @@ class TestCoeffCommand:
     ["coeff", "--left", "0,0,٢,0", "--right", "2,0,0,0", "--out", "0,1,0,3"],
     ["coeff", "--left", "0,0,²,0", "--right", "2,0,0,0", "--out", "0,1,0,3"],
     ["verify", "--max-exp", "١"],
+    ["star", "--expr", "exp(x)", "--cap", "٣"],
+    ["star", "--expr", "exp(x)", "--cap", "1_0"],
     ["species", "--left", "dp(٢,0,0,0)", "--right", "x", "--max-total", "2"],
 ])
 def test_non_ascii_digits_in_arguments_are_usage_errors(capsys, argv):

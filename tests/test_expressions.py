@@ -301,6 +301,16 @@ class TestEvaluate:
         with pytest.raises(EvalError, match="at most"):
             evaluate(parse("x"), MAX_CAP + 1)
 
+    def test_pair_budget_counts_every_product(self, monkeypatch):
+        # (x + y) * (x + y) expands 2 * 2 pairs into x x + x y + 2 x h + y y,
+        # 4 terms, so a further factor x brings the call to 8
+        monkeypatch.setattr("uhsl2.expressions.MAX_PAIRS", 4)
+        assert len(evaluate(parse("(x + y) * (x + y)")).terms) == 4
+        with pytest.raises(EvalError, match="more than 4 monomial pairs"):
+            evaluate(parse("(x + y) * (x + y) * x"))
+        with pytest.raises(EvalError, match="more than 4 monomial pairs"):
+            evaluate(parse("(x + y) * (x + y) + (x + y) * x"))
+
     def test_exp_inside_sum_requires_cap(self):
         with pytest.raises(EvalError):
             evaluate(parse("x + exp(h)"))
