@@ -29,7 +29,8 @@ from typing import NamedTuple
 
 from .combinatorics import falling_factorial, shifted_elem
 
-COLORS = "xyzh"
+# a tuple, so that `in` matches whole names, never substrings such as "xy"
+COLORS = ("x", "y", "z", "h")
 
 
 class IntegralityViolation(Exception):

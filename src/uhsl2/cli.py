@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 # rewrite and species are imported by the commands that use them, so that a
 # `star` process loads only the closed-formula path
 from . import algebra
-from .algebra import mono_star_mono, normal_order_zx, star
+from .algebra import COLORS, mono_star_mono, normal_order_zx, star
 from .combinatorics import shifted_elem, vam3_lhs, vam3_rhs
 from .expressions import EvalError, ParseError, evaluate, parse
 from .serialize import element_to_json, pretty
@@ -69,11 +69,11 @@ def _functor(text: str) -> FunctorSpec:
     from . import species
 
     text = text.strip().lower()
-    if text in ("x", "y", "z", "h"):
+    if text in COLORS:
         return species.Singleton(text)
     if text.startswith("exp(") and text.endswith(")"):
         color = text[4:-1].strip()
-        if color in ("x", "y", "z", "h"):
+        if color in COLORS:
             return species.Exponential(color)
     if text.startswith("dp(") and text.endswith(")"):
         parts = text[3:-1].split(",")

@@ -10,13 +10,13 @@ count must agree with the corresponding coefficient of the algebraic product,
 which ``species_coefficient_check`` verifies size tuple by size tuple.
 
 The count runs in two stages.  The block-size profiles are enumerated
-first, in integers, with each size drawn from the functors' slot sizes; a
-profile is dropped only when a functor value or a factor of its weight
-vanishes.  Then, for each profile that survives, the actual labels of each
-color are dealt into its blocks with ``combinations`` and the deals are
-counted one by one.  So the multinomial factors of the algebraic formula are
-never inserted by hand; they emerge as the number of labelled assignments
-sharing a profile.
+first, in integers: the walk runs over the eight argument sizes the two
+functors see, each drawn from the functor's slot sizes, and these fix every
+block but h5 and h6, the only two sizes left free.  Then, for each profile,
+the actual labels of each color are dealt into its blocks with
+``combinations`` and the deals are counted one by one.  So the multinomial
+factors of the algebraic formula are never inserted by hand; they emerge as
+the number of labelled assignments sharing a profile.
 """
 
 from __future__ import annotations
@@ -42,18 +42,21 @@ class ColoredSizes(NamedTuple):
 
 
 class FunctorSpec:
-    """Base for the rigid functor kinds; value on a size 4-tuple is 0 or 1."""
+    """Base for the rigid functor kinds; value on a size 4-tuple is 0 or 1.
+
+    A kind names the sizes each color's argument may take with
+    ``slot_sizes``, the fixed ``exponents`` unless it overrides it.  Each
+    color is tested on its own, so a size tuple is accepted iff every size
+    passes its color's test, and per-color pruning is exact.
+    """
 
     def value(self, sizes: Sequence[int]) -> int:
-        raise NotImplementedError
+        return int(all(s in self.slot_sizes(color, s) for color, s in enumerate(sizes)))
 
     def slot_sizes(self, color: int, limit: int) -> range:
-        """Sizes of the ``color`` argument (0..limit) not forcing value 0.
-
-        All three kinds accept a size tuple iff each color passes its own
-        test, so per-color pruning is exact.
-        """
-        raise NotImplementedError
+        """Sizes of the ``color`` argument (0..limit) not forcing value 0."""
+        want = self.exponents[color]
+        return range(want, want + 1) if want <= limit else range(0)
 
 
 @dataclass(frozen=True)
@@ -66,13 +69,6 @@ class DividedPower(FunctorSpec):
     @cached_property
     def exponents(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
-
-    def value(self, sizes) -> int:
-        return 1 if tuple(sizes) == self.exponents else 0
-
-    def slot_sizes(self, color, limit) -> range:
-        want = self.exponents[color]
-        return range(want, want + 1) if want <= limit else range(0)
 
     def __str__(self) -> str:
         return f"dp({self.a},{self.b},{self.c},{self.d})"
@@ -88,9 +84,6 @@ class Singleton(FunctorSpec):
         out[COLORS.index(self.color)] = 1
         return tuple(out)
 
-    value = DividedPower.value
-    slot_sizes = DividedPower.slot_sizes
-
     def __str__(self) -> str:
         return self.color
 
@@ -98,10 +91,6 @@ class Singleton(FunctorSpec):
 @dataclass(frozen=True)
 class Exponential(FunctorSpec):
     color: str
-
-    def value(self, sizes) -> int:
-        own = COLORS.index(self.color)
-        return 1 if all(s == 0 for i, s in enumerate(sizes) if i != own) else 0
 
     def slot_sizes(self, color, limit) -> range:
         if color == COLORS.index(self.color):
@@ -163,11 +152,11 @@ def star_species(F: FunctorSpec, G: FunctorSpec, sizes: ColoredSizes | Sequence[
              ascending_maps_count(|z1|+|x2|, |y3|+|h4|, |h4|).
 
     The contribution depends only on the block sizes, so the count runs in
-    two stages.  ``_profiles`` enumerates the block-size profiles in
-    integers and drops each one on which a functor value or a factor of the
-    weight vanishes.  Then, for each profile that survives, the labels of
-    each color are dealt into its blocks one assignment at a time, and the
-    product of the four deal counts multiplies the weight.
+    two stages.  ``_profiles`` enumerates the block-size profiles with a
+    nonzero contribution in integers, from the eight argument sizes of F and
+    G and the two free sizes |h5| and |h6|.  Then, for each profile, the
+    labels of each color are dealt into its blocks one assignment at a time,
+    and the product of the four deal counts multiplies the weight.
     """
     total = 0
     for weight, *blocks in _profiles(F, G, sizes):
@@ -184,9 +173,13 @@ def _profiles(F: FunctorSpec, G: FunctorSpec, sizes: Sequence[int]) -> Iterator[
     """Block-size profiles with a nonzero weight.
 
     Yields the weight and the block sizes of each color: (x1, x2),
-    (y1, y2, y3), (z2, z1) and (h3, h1, h2, h5, h6, h4).  Each size is drawn
-    from the slot sizes of the functor it feeds, and the loops skip the
-    sizes on which (2|x2|)^|h5|, (2|z1|)^|h6| or ascending_maps_count is 0.
+    (y1, y2, y3), (z2, z1) and (h3, h1, h2, h5, h6, h4).  The walk runs over
+    the eight argument sizes of the two functors, each drawn from its slot
+    sizes, so both functor values are 1.  They fix x1, x2, z1, z2, h1, h2
+    and t = |h3|, which must be the same from either side.  Only |h5| and
+    |h6| stay free: |h5| is 0 when x2 is empty, where (2|x2|)^|h5| vanishes
+    otherwise, and |h6| is 0 when z1 is empty.  Then |h4| takes what is left
+    of h and |y3| = t - |h4|.
     """
     nx, ny, nz, nh = sizes
     # each slot at the widest size its blocks can give it; the four slots
@@ -194,52 +187,27 @@ def _profiles(F: FunctorSpec, G: FunctorSpec, sizes: Sequence[int]) -> Iterator[
     if not ((fx := F.slot_sizes(X, nx)) and (gz := G.slot_sizes(Z, nz))
             and (fh := F.slot_sizes(H, nh)) and (gh := G.slot_sizes(H, nh))):
         return
-    fy, fz = F.slot_sizes(Y, ny + nh), F.slot_sizes(Z, nz + nh)
-    gx, gy = G.slot_sizes(X, nx + nh), G.slot_sizes(Y, ny + nh)
-    for x1 in fx:
-        x2 = nx - x1
-        for z2 in gz:
-            z1 = nz - z2
-            for t in range(nh + 1):
-                # h3 feeds both F's z-slot and G's x-slot
-                if z1 + t not in fz or x2 + t not in gx:
-                    continue
-                for h1 in fh:
-                    if h1 > nh - t:
-                        break
-                    for h2 in gh:
-                        pool = nh - t - h1 - h2
-                        if pool < 0:
-                            break
-                        for n5 in range(pool + 1 if x2 else 1):
-                            for n6 in range(pool - n5 + 1 if z1 else 1):
-                                n4 = pool - n5 - n6
-                                n_y3 = t - n4
-                                if not 0 <= n_y3 <= ny:
-                                    continue
-                                maps = ascending_maps_count(z1 + x2, t, n4)
-                                if not maps:
-                                    continue
-                                for y_slot in fy:
-                                    y1 = y_slot - n5
-                                    y2 = ny - n_y3 - y1
-                                    if y2 < 0:
-                                        break
-                                    if y1 < 0 or y2 + n6 not in gy:
-                                        continue
-                                    weight = (
-                                        F.value((x1, y_slot, z1 + t, h1))
-                                        * G.value((x2 + t, y2 + n6, z2, h2))
-                                        * (-1) ** t
-                                        * (2 * x2) ** n5
-                                        * (2 * z1) ** n6
-                                        * factorial(n_y3)
-                                        * factorial(n4)
-                                        * maps
-                                    )
-                                    if weight:
-                                        yield (weight, (x1, x2), (y1, y2, n_y3),
-                                               (z2, z1), (t, h1, h2, n5, n6, n4))
+    slots = (fx, F.slot_sizes(Y, ny + nh), F.slot_sizes(Z, nz + nh), fh,
+             G.slot_sizes(X, nx + nh), G.slot_sizes(Y, ny + nh), gz, gh)
+    # F sees (x1, y1+h5, z1+h3, h1) and G sees (x2+h3, y2+h6, z2, h2)
+    for x1, fy, fz, h1, gx, gy, z2, h2 in product(*slots):
+        x2, z1 = nx - x1, nz - z2
+        t = fz - z1
+        pool = nh - t - h1 - h2  # |h4| + |h5| + |h6|
+        # |y1| + |y2| + |y3| = ny with |y3| + |h4| = |h3| = t
+        if t < 0 or t != gx - x2 or pool < 0 or fy + gy + 2 * t + h1 + h2 != ny + nh:
+            continue
+        for n5 in range(min(pool, fy) + 1 if x2 else 1):
+            for n6 in range(min(pool - n5, gy) + 1 if z1 else 1):
+                n4 = pool - n5 - n6
+                # 0 when |h4| > t, which leaves y3 a negative size, and when
+                # x2 and z1 are both empty and |h4| = t > 0
+                maps = ascending_maps_count(z1 + x2, t, n4)
+                if maps:
+                    weight = ((-1) ** t * (2 * x2) ** n5 * (2 * z1) ** n6
+                              * factorial(t - n4) * factorial(n4) * maps)
+                    yield (weight, (x1, x2), (fy - n5, gy - n6, t - n4),
+                           (z2, z1), (t, h1, h2, n5, n6, n4))
 
 
 def valuation_element(spec: FunctorSpec, cap: int) -> Element:

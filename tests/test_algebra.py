@@ -435,6 +435,12 @@ class TestExpSeries:
         with pytest.raises(ValueError):
             exp_series("x", -1)
 
+    @pytest.mark.parametrize("color", ["xy", ""])
+    def test_unknown_generator_rejected(self, color):
+        # a name is a whole generator, never a substring of "xyzh"
+        with pytest.raises(ValueError):
+            exp_series(color, 2)
+
 
 DEG4_MONOS = [m for m in ((a, b, c, d) for a in range(5) for b in range(5)
                           for c in range(5) for d in range(5)) if sum(m) <= 4]

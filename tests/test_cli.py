@@ -118,6 +118,12 @@ class TestStarCommand:
         proc = run_entry_point("star", "--expr", "y * x")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2 x h + x y\n", "")
 
+    @pytest.mark.parametrize("expr", ["xy", "exp(xy)", "x + zh"])
+    def test_run_together_generator_names_are_parse_errors(self, expr):
+        proc = run_entry_point("star", "--expr", expr, "--cap", "2")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "parse error" in proc.stderr
+
     def test_huge_cap_is_usage_error(self):
         # the cap is checked before anything is allocated
         proc = run_entry_point("star", "--expr", "exp(x)", "--cap", "100000000", timeout=5)

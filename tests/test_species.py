@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,9 @@ ZX_FIVE_TERM = {
     (0, 2, 0, 2): 2,
     (0, 1, 0, 3): 3,
 }
+RIGID = [Exponential(c) for c in COLORS] + [Singleton(c) for c in COLORS]
+# every kind, with the divided powers of exponents <= 1
+SMALL_SPECS = [DividedPower(*e) for e in product(range(2), repeat=4)] + RIGID
 
 
 class TestFunctorValue:
@@ -58,6 +63,39 @@ class TestFunctorValue:
             for slot in range(4):
                 for limit in range(3):
                     assert single.slot_sizes(slot, limit) == divided.slot_sizes(slot, limit)
+
+    def test_value_is_each_kinds_definition(self):
+        # each kind's definition stated directly, without slot_sizes
+        def definition(spec, sizes):
+            if isinstance(spec, Exponential):
+                own = COLORS.index(spec.color)
+                return int(all(s == 0 for i, s in enumerate(sizes) if i != own))
+            return int(tuple(sizes) == spec.exponents)
+
+        specs = [DividedPower(*e) for e in product(range(3), repeat=4)] + RIGID
+        for spec in specs:
+            for sizes in size_tuples(4):
+                assert spec.value(sizes) == definition(spec, sizes), (spec, sizes)
+
+
+class TestProfiles:
+    """The contract of ``_profiles`` that ``star_species`` relies on."""
+
+    def test_every_profile_is_a_nonzero_structure_up_to_total_5(self):
+        for F in SMALL_SPECS:
+            for G in SMALL_SPECS:
+                for sizes in size_tuples(5):
+                    for weight, *blocks in species._profiles(F, G, sizes):
+                        xs, ys, zs, hs = blocks
+                        (x1, x2), (y1, y2, y3), (z2, z1) = xs, ys, zs
+                        h3, h1, h2, h5, h6, h4 = hs
+                        # _deals gives the last block whatever labels are left
+                        assert all(k >= 0 for block in blocks for k in block)
+                        assert tuple(map(sum, blocks)) == tuple(sizes)
+                        assert y3 + h4 == h3
+                        assert F.value((x1, y1 + h5, z1 + h3, h1)) == 1
+                        assert G.value((x2 + h3, y2 + h6, z2, h2)) == 1
+                        assert weight != 0, (F, G, sizes, blocks)
 
 
 class TestAscendingMapsCount:
@@ -167,12 +205,13 @@ class TestAgainstReference:
         assert star_species(F, G, sizes) == reference_star_species(F, G, sizes)
 
     def test_exponentials_and_singletons_up_to_total_5(self):
-        specs = [Exponential(c) for c in COLORS] + [Singleton(c) for c in COLORS]
-        for F in specs:
-            for G in specs:
-                for sizes in size_tuples(5):
-                    assert star_species(F, G, sizes) == reference_star_species(F, G, sizes), (
-                        F, G, sizes)
+        # and every kind against the divided powers of exponents <= 1 at total <= 4
+        cases = [(F, G, 5) for F in RIGID for G in RIGID]
+        cases += [(F, G, 4) for F in SMALL_SPECS for G in SMALL_SPECS]
+        for F, G, max_total in cases:
+            for sizes in size_tuples(max_total):
+                assert star_species(F, G, sizes) == reference_star_species(F, G, sizes), (
+                    F, G, sizes)
 
 
 class TestValuation:
