@@ -165,6 +165,9 @@ class Element:
             if not val:
                 continue
             mono = key if isinstance(key, NormalMonomial) else NormalMonomial(*key)
+            # the library's own keys are NormalMonomials and go unchecked
+            if mono is not key and any(type(e) is not int for e in mono):
+                raise TypeError(f"non-integer exponent in monomial {tuple(mono)}")
             if min(mono) < 0:
                 raise ValueError(f"negative exponent in monomial {tuple(mono)}")
             if cap is not None and mono.degree > cap:
@@ -182,7 +185,7 @@ class Element:
 
     @classmethod
     def monomial(cls, mono, coeff=1, cap: int | None = None) -> "Element":
-        return cls({NormalMonomial(*mono): coeff}, cap)
+        return cls({tuple(mono): coeff}, cap)
 
     def coefficient(self, mono) -> Fraction | int:
         return self.terms.get(NormalMonomial(*mono), 0)
@@ -251,9 +254,9 @@ def _combine_caps(c1: int | None, c2: int | None) -> int | None:
     return c1
 
 
-def mono_star_mono(m1, m2, cap: int | None = None) -> Element:
+def mono_star_mono(m1, m2) -> Element:
     """Star product of two divided monomials, by the closed formula."""
-    return Element(_mono_star(NormalMonomial(*m1), NormalMonomial(*m2)), cap)
+    return Element(_mono_star(NormalMonomial(*m1), NormalMonomial(*m2)))
 
 
 def _over_common_denominator(f: Element) -> tuple[int, list[tuple]]:

@@ -19,8 +19,8 @@ monomial pairs over all its products.  ``Sum`` and ``StarProduct`` are
 n-ary (``a * b * c`` is one node of three factors), so parse, print and
 evaluate loop over operands and recurse only at parentheses and unary minus.
 Those nest at most ``MAX_NESTING`` deep; deeper input is a ``ParseError``,
-before any recursion can reach the interpreter's limit.  ``==`` and ``hash``
-on syntax trees walk them with an explicit stack and do not recurse at all.
+before any recursion can reach the interpreter's limit.  ``repr``, ``==``
+and ``hash`` read a tree from one walk with an explicit stack, at any depth.
 The node classes are plain immutable classes with ``__slots__`` and a
 ``_fields`` tuple, not dataclasses, so that a ``uhsl2 star`` process does not
 import ``dataclasses`` and ``inspect`` to start.
@@ -48,12 +48,11 @@ class Expression:
 
     Each node class names its fields in ``_fields`` (also its ``__slots__``)
     and sets them once in ``__init__``, by position or keyword; assigning to
-    or deleting any attribute afterwards raises ``AttributeError``.  ``==``
-    is true for the same class with equal fields, operand tuples compared
-    item by item, and ``hash`` agrees with it; both read the tree from
-    ``_preorder``, which walks it without recursing.  ``repr`` spells out
-    every class and field, such as ``Negate(operand=Generator(color='x'))``,
-    built with an explicit stack.
+    or deleting any attribute afterwards raises ``AttributeError``.  ``repr``
+    spells out every class and field, such as
+    ``Negate(operand=Generator(color='x'))``; ``==`` and ``hash`` read the
+    same spelling from ``_spelled``, with classes compared by identity and
+    field values by value, so ``Literal(Fraction(2)) == Literal(2)``.
     """
 
     __slots__ = ()
@@ -73,52 +72,43 @@ class Expression:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return _preorder(self) == _preorder(other)
+        return _spelled(self) == _spelled(other)
 
     def __hash__(self):
-        return hash(tuple(_preorder(self)))
+        return hash(tuple(_spelled(self)))
 
     def __repr__(self):
-        parts = []
-        # (True, text) is output as is; (False, value) is still to be spelled
-        stack = [(False, self)]
-        while stack:
-            is_text, item = stack.pop()
-            if is_text:
-                parts.append(item)
-                continue
-            if isinstance(item, Expression):
-                todo = [(True, f"{item.__class__.__qualname__}(")]
-                for i, name in enumerate(item._fields):
-                    todo += [(True, ", " * (i > 0) + f"{name}="), (False, getattr(item, name))]
-                todo.append((True, ")"))
-            elif type(item) is tuple:
-                todo = [(True, "(")]
-                for i, value in enumerate(item):
-                    todo += [(True, ", " * (i > 0)), (False, value)]
-                todo.append((True, ",)" if len(item) == 1 else ")"))
-            else:
-                todo = [(True, repr(item))]
-            stack.extend(reversed(todo))
-        return "".join(parts)
+        return "".join(f"{part.__qualname__}(" if isinstance(part, type)
+                       else repr(part[0]) if type(part) is tuple else part
+                       for part in _spelled(self))
 
 
-def _preorder(node: Expression) -> list[tuple]:
-    """Every node, operand tuple and field value of the tree in pre-order,
-    each tagged with its kind; the list determines the tree."""
-    items = []
-    stack = [node]
+def _spelled(node: Expression) -> list:
+    """The repr of a tree as a list, built with an explicit stack: a node is
+    its class (``Qualname(`` in the text), structural text is a str, and any
+    other field value is a 1-tuple holding it."""
+    parts = []
+    # (True, part) is output as is; (False, value) is still to be spelled
+    stack = [(False, node)]
     while stack:
-        item = stack.pop()
+        is_part, item = stack.pop()
+        if is_part:
+            parts.append(item)
+            continue
         if isinstance(item, Expression):
-            items.append(("node", item.__class__))
-            stack.extend(reversed([getattr(item, name) for name in item._fields]))
+            todo = [(True, item.__class__)]
+            for i, name in enumerate(item._fields):
+                todo += [(True, ", " * (i > 0) + f"{name}="), (False, getattr(item, name))]
+            todo.append((True, ")"))
         elif type(item) is tuple:
-            items.append(("tuple", len(item)))
-            stack.extend(reversed(item))
+            todo = [(True, "(")]
+            for i, value in enumerate(item):
+                todo += [(True, ", ")] * (i > 0) + [(False, value)]
+            todo.append((True, ",)" if len(item) == 1 else ")"))
         else:
-            items.append(("leaf", item))
-    return items
+            todo = [(True, (item,))]
+        stack.extend(reversed(todo))
+    return parts
 
 
 # sets a field past Expression.__setattr__; only the node constructors use it

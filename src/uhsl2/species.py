@@ -75,9 +75,17 @@ class DividedPower(FunctorSpec):
 
 
 @dataclass(frozen=True)
-class Singleton(FunctorSpec):
+class _OneColor(FunctorSpec):
     color: str
 
+    def __post_init__(self):
+        if self.color not in COLORS:
+            raise ValueError(f"{type(self).__name__}({self.color!r}): color must be "
+                             f"one of {', '.join(COLORS)}")
+
+
+@dataclass(frozen=True)
+class Singleton(_OneColor):
     @cached_property
     def exponents(self) -> tuple[int, int, int, int]:
         out = [0, 0, 0, 0]
@@ -89,9 +97,7 @@ class Singleton(FunctorSpec):
 
 
 @dataclass(frozen=True)
-class Exponential(FunctorSpec):
-    color: str
-
+class Exponential(_OneColor):
     def slot_sizes(self, color, limit) -> range:
         if color == COLORS.index(self.color):
             return range(limit + 1)

@@ -81,6 +81,16 @@ class TestElementBasics:
         with pytest.raises(ValueError):
             Element({(-1, 0, 0, 0): 1})
 
+    @pytest.mark.parametrize("mono", [(0.5, 0, 0, 0), (1.0, 0, 0, 0), (0, Fraction(1), 0, 0),
+                                      (0, 0, True, 0), (0, 0, 0, "1")])
+    def test_rejects_exponents_that_are_not_ints(self, mono):
+        with pytest.raises(TypeError, match=r"non-integer exponent in monomial \("):
+            Element({mono: 1})
+        with pytest.raises(TypeError, match=r"non-integer exponent"):
+            Element.monomial(mono)
+        with pytest.raises(TypeError, match=r"non-integer exponent"):
+            Element.monomial(NormalMonomial(*mono))
+
     def test_additive_inverse(self):
         f = Element({(1, 2, 0, 0): 3, (0, 0, 0, 2): Fraction(-1, 2)})
         assert (f + (-f)).is_zero()

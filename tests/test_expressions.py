@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -226,6 +227,67 @@ class TestTreeEquality:
         assert (a != b) == (repr(a) != repr(b))
         if a == b:
             assert hash(a) == hash(b)
+
+
+def _with_recursion_limit(limit, check):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        check()
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _nested(kind, depth, leaf):
+    node = leaf
+    for _ in range(depth):
+        node = Negate(node) if kind is Negate else kind((node, Generator("y")))
+    return node
+
+
+class TestConstructedTrees:
+    """Trees deeper than parse allows, built with the constructors."""
+
+    @pytest.mark.parametrize("kind, depth", [(Negate, 20_000), (Sum, 5_000), (StarProduct, 5_000)])
+    def test_deep_trees_compare_hash_and_print(self, kind, depth):
+        a, b = _nested(kind, depth, Generator("x")), _nested(kind, depth, Generator("x"))
+        other = _nested(kind, depth, Exp("x"))
+        if kind is Negate:
+            text = "Negate(operand=" * depth + "Generator(color='x')" + ")" * depth
+        else:
+            field = kind._fields[0]
+            text = (f"{kind.__name__}({field}=(" * depth + "Generator(color='x')"
+                    + ", Generator(color='y')))" * depth)
+
+        def check():
+            assert a == b and not a != b
+            assert hash(a) == hash(b)
+            assert a != other
+            assert repr(a) == text
+            assert repr(other) == text.replace("Generator(color='x')", "Exp(color='x')")
+
+        _with_recursion_limit(200, check)
+
+    def test_classes_differ_inside_equal_fields(self):
+        y = Generator("y")
+        assert Sum((Generator("x"), y)) != Sum((Exp("x"), y))
+        assert StarProduct((y, Literal(Fraction(-1)))) != StarProduct((y, Negate(Literal(1))))
+        assert Negate(Negate(Generator("z"))) != Negate(Negate(Exp("z")))
+
+    def test_classes_compare_by_identity_not_name(self):
+        # a class of the same qualname prints the same text, but is not equal
+        Twin = type("Generator", (Generator,), {"__slots__": ()})
+        y = Generator("y")
+        twin = Sum((Twin("x"), y))
+        assert repr(twin) == repr(Sum((Generator("x"), y)))
+        assert twin != Sum((Generator("x"), y))
+        assert twin == Sum((Twin("x"), y))
+
+    def test_inner_leaves_compare_by_value(self):
+        y = Generator("y")
+        assert Sum((Literal(Fraction(2)), y)) == Sum((Literal(2), y))
+        assert hash(Sum((Literal(Fraction(2)), y))) == hash(Sum((Literal(2), y)))
+        assert Sum((Literal(Fraction(2)), y)) != Sum((Literal(Fraction(1, 2)), y))
 
 
 _x, _y = Generator("x"), Generator("y")

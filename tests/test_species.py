@@ -64,6 +64,14 @@ class TestFunctorValue:
                 for limit in range(3):
                     assert single.slot_sizes(slot, limit) == divided.slot_sizes(slot, limit)
 
+    @pytest.mark.parametrize("kind", [Singleton, Exponential])
+    @pytest.mark.parametrize("color", ["xy", "", "X", "exp(x)", 0])
+    def test_color_is_checked_when_built(self, kind, color):
+        message = f"{kind.__name__}({color!r}): color must be one of x, y, z, h"
+        with pytest.raises(ValueError) as info:
+            kind(color)
+        assert str(info.value) == message
+
     def test_value_is_each_kinds_definition(self):
         # each kind's definition stated directly, without slot_sizes
         def definition(spec, sizes):
