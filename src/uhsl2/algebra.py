@@ -6,10 +6,14 @@ product of two such monomials is the paper's closed formula, a finite signed
 sum over 13-index assignments.  ``mono_star_mono`` evaluates it in stages:
 an output monomial collects the summands with one value of rho3 and of
 rho4 + rho5 + rho6, and after two factorial cancellations the sums for one
-rho3 are the coefficients of one small polynomial product.  The literal
-13-index sum is kept as the test reference in ``tests/reference_formula.py``.
-Coefficients of monomial-by-monomial products are always integers; the
-kernel checks that each of its divisions is exact, so it returns only ints.
+rho3 are the coefficients of one small polynomial product.  That product has
+non-negative coefficients, so for small pairs it is evaluated at t = 2^k as
+one big integer whose k-bit slots are the coefficients; larger pairs multiply
+coefficient lists.  The literal 13-index sum is kept as the test reference in
+``tests/reference_formula.py``.  Coefficients of monomial-by-monomial
+products are always integers; the kernel checks that each of its divisions
+is exact, so it returns only ints.  ``mono_star_mono`` checks its two inputs,
+and the kernel's own keys and results are wrapped without a second check.
 ``star`` extends the kernel bilinearly in exact integers: it brings
 each factor over the least common denominator of its coefficients, sums the
 integer products of numerators and kernel coefficients, and divides each
@@ -63,6 +67,12 @@ class NormalMonomial(NamedTuple):
 UNIT = NormalMonomial(0, 0, 0, 0)
 
 
+# _mono_star evaluates a pair's weight polynomials as packed integers when
+# the largest of them has at most this many bits; the two paths break even
+# between about 9 and 24 kbit, depending on the shape (see _mono_star)
+PACKED_MAX_BITS = 12_000
+
+
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:
     """Coefficient list of the product of two polynomials in t."""
     out = [0] * (len(p) + len(q) - 1)
@@ -71,6 +81,68 @@ def _poly_mul(p: list[int], q: list[int]) -> list[int]:
             for j, y in enumerate(q):
                 out[i + j] += x * y
     return out
+
+
+def _listed_weights(m1, m2):
+    """The weight polynomial of each rho3, kept as coefficient lists."""
+    _, b1, c1, _ = m1
+    a2, b2, _, _ = m2
+    shift = a2 + c1
+    # symbols[r] = (alpha2 + gamma1)^r_rho3, the coefficients of the product of
+    # (1 + v t) over v = shift - 2 rho3 .. shift - rho3 - 1; from one rho3 to
+    # the next, two factors join at the bottom and one leaves at the top
+    symbols = [1]
+    for rho3 in range(min(c1, a2) + 1):
+        if rho3:
+            for v in (shift - 2 * rho3, shift - 2 * rho3 + 1):
+                symbols = [x + v * y for x, y in zip(symbols + [0], [0] + symbols)]
+            v = shift - rho3   # divide out (1 + v t) by synthetic division
+            quotient, carry = [], 0
+            for x in symbols[:-1]:
+                carry = x - v * carry
+                quotient.append(carry)
+            if symbols[-1] != v * carry:
+                raise IntegralityViolation(
+                    f"symbol row of {tuple(m1)} * {tuple(m2)} at rho3 = {rho3}")
+            symbols = quotient
+        alpha2, gamma1 = a2 - rho3, c1 - rho3
+        yield _poly_mul(
+            _poly_mul([comb(b1, i) * (2 * alpha2) ** i for i in range(b1 + 1)],
+                      [comb(b2, j) * (2 * gamma1) ** j for j in range(b2 + 1)]),
+            symbols,
+        )
+
+
+def _packed_size(m1, m2) -> tuple[int, int]:
+    """The slot width k of m1 * m2's packed weight polynomials, and the
+    size in bits of the largest of them (the one at rho3 = min(c1, a2))."""
+    _, b1, c1, _ = m1
+    a2, b2, _, _ = m2
+    top = min(c1, a2)
+    k = ((1 + 2 * a2) ** b1 * (1 + 2 * c1) ** b2
+         * (1 + a2 + c1) ** top).bit_length() + 1
+    return k, k * (b1 + b2 + top + 1)
+
+
+def _packed_weights(m1, m2, k):
+    """The weight polynomial of each rho3, evaluated at t = 2^k as one
+    integer; its coefficients are read back as k-bit slots."""
+    _, b1, c1, _ = m1
+    a2, b2, _, _ = m2
+    shift = a2 + c1
+    mask = (1 << k) - 1
+    symbols = 1
+    for rho3 in range(min(c1, a2) + 1):
+        if rho3:
+            v = shift - 2 * rho3
+            symbols, rem = divmod(symbols * (1 + (v << k)) * (1 + (v + 1 << k)),
+                                  1 + (v + rho3 << k))
+            if rem:
+                raise IntegralityViolation(
+                    f"symbol row of {tuple(m1)} * {tuple(m2)} at rho3 = {rho3}")
+        packed = ((1 + (2 * (a2 - rho3) << k)) ** b1
+                  * (1 + (2 * (c1 - rho3) << k)) ** b2 * symbols)
+        yield [packed >> k * u & mask for u in range(b1 + b2 + rho3 + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -88,14 +160,28 @@ def _mono_star(m1: NormalMonomial, m2: NormalMonomial) -> dict[NormalMonomial, i
 
     and its output monomial depends on rho3 and u = rho4 + rho5 + rho6 only.
     So for each rho3 the sum over (rho4, rho5, rho6) is beta! rho! / (b1! b2!
-    d1! d2! rho3!) times the coefficient of t^u in
+    d1! d2! rho3!) times the coefficient of t^u in the weight polynomial
 
         (1 + 2 alpha2 t)^b1 (1 + 2 gamma1 t)^b2
             * prod_{i < rho3} (1 + (alpha2 + gamma1 + i) t),
 
     whose last factor has the symbols (alpha2 + gamma1)^rho4_rho3 as its
-    coefficients.  Each division is exact; a remainder raises
-    ``IntegralityViolation``.
+    coefficients.
+
+    Small pairs evaluate the weight polynomial at t = 2^k as one integer
+    (Kronecker substitution): per rho3 the symbols take two multiplications
+    and one exact division (two factors join, one leaves), the weights one
+    product, and the coefficients are read back with shift and mask.  Every v above is at least
+    a2 + c1 - 2 rho3 >= 0, so every coefficient is non-negative and at most
+    the polynomial's value at t = 1, itself at most (1 + 2 a2)^b1
+    (1 + 2 c1)^b2 (1 + a2 + c1)^min(c1, a2); k is one bit wider than that
+    bound, which keeps the coefficients in separate k-bit slots.  Products of
+    big integers grow faster than the list recurrence, so when the largest
+    packed polynomial would exceed ``PACKED_MAX_BITS`` the kernel multiplies
+    coefficient lists instead.  The packed and listed paths cost the same at
+    about 9 kbit for z^k * x^k (k = 38) and at about 24 kbit for
+    (0,b,b,0) * (b,b,0,0) (b = 22).  Each division is exact; a remainder
+    raises ``IntegralityViolation``.
     """
     a1, b1, c1, d1 = m1
     a2, b2, c2, d2 = m2
@@ -104,32 +190,14 @@ def _mono_star(m1: NormalMonomial, m2: NormalMonomial) -> dict[NormalMonomial, i
     for i in range(1, b1 + b2 + d1 + d2 + 2 * top + 1):
         fact.append(fact[-1] * i)
     fixed = fact[b1] * fact[b2] * fact[d1] * fact[d2]
-    shift = a2 + c1
-    # symbols[r] = (alpha2 + gamma1)^r_rho3, the coefficients of the product of
-    # (1 + v t) over v = shift - 2 rho3 .. shift - rho3 - 1; from one rho3 to
-    # the next, two factors join at the bottom and one leaves at the top
-    symbols = [1]
+    k, bits = _packed_size(m1, m2)
+    if bits <= PACKED_MAX_BITS:
+        rows = _packed_weights(m1, m2, k)
+    else:
+        rows = _listed_weights(m1, m2)
     out: dict[NormalMonomial, int] = {}
-    for rho3 in range(top + 1):
-        if rho3:
-            for v in (shift - 2 * rho3, shift - 2 * rho3 + 1):
-                symbols = [x + v * y for x, y in zip(symbols + [0], [0] + symbols)]
-            v = shift - rho3   # divide out (1 + v t) by synthetic division
-            quotient, carry = [], 0
-            for x in symbols[:-1]:
-                carry = x - v * carry
-                quotient.append(carry)
-            if symbols[-1] != v * carry:
-                raise IntegralityViolation(
-                    f"symbol row of {tuple(m1)} * {tuple(m2)} at rho3 = {rho3}")
-            symbols = quotient
-        alpha2, gamma1 = a2 - rho3, c1 - rho3
-        alpha, gamma = a1 + alpha2, gamma1 + c2
-        weights = _poly_mul(
-            _poly_mul([comb(b1, i) * (2 * alpha2) ** i for i in range(b1 + 1)],
-                      [comb(b2, j) * (2 * gamma1) ** j for j in range(b2 + 1)]),
-            symbols,
-        )
+    for rho3, weights in enumerate(rows):
+        alpha, gamma = a1 + a2 - rho3, c1 - rho3 + c2
         scale = (-1) ** rho3 * comb(alpha, a1) * comb(gamma, c2)
         den = fixed * fact[rho3]
         for u, w in enumerate(weights):
@@ -140,7 +208,7 @@ def _mono_star(m1: NormalMonomial, m2: NormalMonomial) -> dict[NormalMonomial, i
                     raise IntegralityViolation(
                         f"coefficient of {(alpha, beta, gamma, rho)} in "
                         f"{tuple(m1)} * {tuple(m2)} is not an integer")
-                out[NormalMonomial(alpha, beta, gamma, rho)] = scale * value
+                out[tuple.__new__(NormalMonomial, (alpha, beta, gamma, rho))] = scale * value
     return out
 
 
@@ -186,6 +254,15 @@ class Element:
     @classmethod
     def monomial(cls, mono, coeff=1, cap: int | None = None) -> "Element":
         return cls({tuple(mono): coeff}, cap)
+
+    @classmethod
+    def _built(cls, terms: dict, cap: int | None = None) -> "Element":
+        """Wrap terms the library built itself, unchecked: NormalMonomial
+        keys within the cap, and nonzero int or Fraction values."""
+        self = object.__new__(cls)
+        self.terms = terms
+        self.cap = cap
+        return self
 
     def coefficient(self, mono) -> Fraction | int:
         return self.terms.get(NormalMonomial(*mono), 0)
@@ -255,8 +332,17 @@ def _combine_caps(c1: int | None, c2: int | None) -> int | None:
 
 
 def mono_star_mono(m1, m2) -> Element:
-    """Star product of two divided monomials, by the closed formula."""
-    return Element(_mono_star(NormalMonomial(*m1), NormalMonomial(*m2)))
+    """Star product of two divided monomials, by the closed formula.
+
+    Raises ``TypeError`` for an exponent that is not an ``int`` (``bool``
+    included) and ``ValueError`` for a negative one, naming the pair."""
+    m1, m2 = NormalMonomial(*m1), NormalMonomial(*m2)
+    for e in m1 + m2:
+        if type(e) is not int:
+            raise TypeError(f"non-integer exponent in {tuple(m1)} * {tuple(m2)}")
+        if e < 0:
+            raise ValueError(f"negative exponent in {tuple(m1)} * {tuple(m2)}")
+    return Element._built(dict(_mono_star(m1, m2)))
 
 
 def _over_common_denominator(f: Element) -> tuple[int, list[tuple]]:
@@ -288,14 +374,16 @@ def star(f: Element, g: Element) -> Element:
             n12 = n1 * n2
             for mono, coeff in _mono_star(m1, m2).items():
                 out[mono] = out.get(mono, 0) + n12 * coeff
+    # the product is graded, so no output monomial is above the cap
     den = den_f * den_g
     if den == 1:
-        return Element(out, cap)
-    return Element({mono: Fraction(v, den) for mono, v in out.items() if v}, cap)
+        return Element._built({mono: v for mono, v in out.items() if v}, cap)
+    return Element._built({mono: Fraction(v, den) for mono, v in out.items() if v}, cap)
 
 
 def structural_coefficient(m1, m2, out) -> int:
-    """The integer coefficient of ``out`` in the product of two basis monomials."""
+    """The integer coefficient of ``out`` in the product of two basis
+    monomials, whose exponents are checked as by ``mono_star_mono``."""
     return mono_star_mono(m1, m2).coefficient(out)
 
 

@@ -179,7 +179,8 @@ MAX_CAP = 32
 # products.  Chains of capped series products run at 0.6-4 us a pair, so the
 # bound is under 0.5 s of them; the largest pinned request, a flat sum of
 # 2,000 terms, expands 2,000 pairs.  The bound counts pairs, not their degree:
-# a pair of distinct degree-16 monomials can take 0.5 ms
+# a pair of distinct degree-16 monomials, such as (0,6,10,0) * (10,6,0,0),
+# can take 0.4 ms
 MAX_PAIRS = 100_000
 
 

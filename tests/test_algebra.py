@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -17,10 +18,14 @@ from reference_formula import (
     reference_star,
 )
 from uhsl2.algebra import (
+    PACKED_MAX_BITS,
     Element,
     IntegralityViolation,
     NormalMonomial,
+    _listed_weights,
     _mono_star,
+    _packed_size,
+    _packed_weights,
     exp_series,
     mono_star_mono,
     normal_order_yx,
@@ -206,6 +211,28 @@ def pairs_of_total_degree(draw, top):
     return tuple(parts[:4]), tuple(parts[4:])
 
 
+def near_threshold(top, rest):
+    """The pair (a1, b1, c1, d1), (a2, b2, c2, d2) with min(c1, a2) = top,
+    the larger of c1, a2 being top + extra, and the other exponents fixed."""
+    a1, b1, d1, b2, c2, d2, extra, swap = rest
+    c1, a2 = (top + extra, top) if swap else (top, top + extra)
+    return NormalMonomial(a1, b1, c1, d1), NormalMonomial(a2, b2, c2, d2)
+
+
+@st.composite
+def shapes_by_kernel_path(draw, packed):
+    """A pair whose packed weight polynomials are at most PACKED_MAX_BITS
+    (packed) or more than that, with min(c1, a2) a few steps from the
+    first top that goes over the threshold."""
+    small = st.integers(0, 2)
+    rest = (*(draw(small) for _ in range(6)), draw(st.integers(0, 3)), draw(st.booleans()))
+    first = 0
+    while _packed_size(*near_threshold(first, rest))[1] <= PACKED_MAX_BITS:
+        first += 1
+    step = draw(st.integers(0, 8 if packed else 3))
+    return near_threshold(max(0, first - 1 - step) if packed else first + step, rest)
+
+
 class TestStagedKernel:
     """The staged kernel against the literal 13-index sum and the oracle."""
 
@@ -228,6 +255,28 @@ class TestStagedKernel:
         assert staged == reference_mono_star(m1, m2)
         assert all(type(v) is int for v in staged.values())
 
+    @pytest.mark.parametrize("packed", [True, False])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_each_path_equals_reference_near_the_threshold(self, packed, data):
+        m1, m2 = data.draw(shapes_by_kernel_path(packed))
+        assert (_packed_size(m1, m2)[1] <= PACKED_MAX_BITS) == packed
+        assert _mono_star(m1, m2) == reference_mono_star(m1, m2)
+
+    def test_shapes_straddling_the_threshold_equal_reference(self):
+        k = 0
+        while _packed_size((0, 0, k + 1, 0), (k + 1, 0, 0, 0))[1] <= PACKED_MAX_BITS:
+            k += 1
+        for n in (k, k + 1):   # the last packed z^n * x^n, the first listed
+            m1, m2 = NormalMonomial(0, 0, n, 0), NormalMonomial(n, 0, 0, 0)
+            assert _mono_star(m1, m2) == reference_mono_star(m1, m2), n
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(*4 * [st.integers(0, 12)]), st.tuples(*4 * [st.integers(0, 12)]))
+    def test_packed_and_listed_weights_agree(self, m1, m2):
+        k = _packed_size(m1, m2)[0]
+        assert list(_packed_weights(m1, m2, k)) == list(_listed_weights(m1, m2))
+
     @settings(max_examples=50, deadline=None)
     @given(pairs_of_total_degree(10))
     def test_against_rewrite_oracle_to_degree_10(self, pair):
@@ -238,6 +287,30 @@ class TestStagedKernel:
         _mono_star.cache_clear()
         _mono_star(NormalMonomial(1, 2, 5, 1), NormalMonomial(6, 1, 2, 0))
         assert shifted_elem.cache_info().currsize == 0
+
+
+class TestKernelInputs:
+    @pytest.mark.parametrize("slot", range(8))
+    @pytest.mark.parametrize("bad, error", [
+        (-1, ValueError), (True, TypeError), (1.0, TypeError),
+        (Fraction(1), TypeError), ("1", TypeError),
+    ])
+    def test_rejects_a_bad_exponent_in_any_slot(self, slot, bad, error):
+        pair = [1] * 8
+        pair[slot] = bad
+        m1, m2 = tuple(pair[:4]), tuple(pair[4:])
+        before = _mono_star.cache_info()
+        with pytest.raises(error, match=re.escape(f"{m1} * {m2}")):
+            mono_star_mono(m1, m2)
+        with pytest.raises(error, match=re.escape(f"{m1} * {m2}")):
+            structural_coefficient(m1, m2, (1, 1, 1, 1))
+        after = _mono_star.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_result_is_a_copy_of_the_cached_product(self):
+        product = mono_star_mono((0, 0, 2, 0), (2, 0, 0, 0))
+        product.terms.clear()
+        assert mono_star_mono((0, 0, 2, 0), (2, 0, 0, 0)) == FIVE_TERM
 
 
 class TestMonoStarMono:

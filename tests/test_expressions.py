@@ -173,13 +173,17 @@ class TestRoundTrip:
 
 # three kinds of leaf and at most six leaves, so that two drawn trees are
 # often equal
-few_leaves = st.recursive(
-    st.sampled_from([Generator("x"), Generator("y"), Literal(Fraction(1))]),
-    lambda inner: st.one_of(
+def _branches(inner):
+    return st.one_of(
         st.builds(Sum, st.tuples(inner, inner)),
         st.builds(StarProduct, st.tuples(inner, inner)),
         st.builds(Negate, inner),
-    ),
+    )
+
+
+few_leaves = st.recursive(
+    st.sampled_from([Generator("x"), Generator("y"), Literal(Fraction(1))]),
+    _branches,
     max_leaves=6,
 )
 
