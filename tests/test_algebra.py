@@ -17,12 +17,14 @@ from reference_formula import (
     reference_mono_star,
     reference_star,
 )
+from uhsl2 import algebra, combinatorics
 from uhsl2.algebra import (
     PACKED_MAX_BITS,
     Element,
     IntegralityViolation,
     NormalMonomial,
     _listed_weights,
+    _mono_product,
     _mono_star,
     _packed_size,
     _packed_weights,
@@ -240,18 +242,18 @@ class TestStagedKernel:
         monos = [NormalMonomial(*m) for m in product(range(3), repeat=4)]
         for m1 in monos:
             for m2 in monos:
-                assert _mono_star(m1, m2) == reference_mono_star(m1, m2), (m1, m2)
+                assert _mono_product(m1, m2) == reference_mono_star(m1, m2), (m1, m2)
 
     @settings(max_examples=100, deadline=None)
     @given(exponents_to_6, exponents_to_6)
     def test_equals_reference_to_exponent_6(self, m1, m2):
-        staged = _mono_star(m1, m2)
+        staged = _mono_product(m1, m2)
         assert staged == reference_mono_star(m1, m2)
         assert all(type(v) is int for v in staged.values())
 
     def test_z30_x30_equals_reference(self):
         m1, m2 = NormalMonomial(0, 0, 30, 0), NormalMonomial(30, 0, 0, 0)
-        staged = _mono_star(m1, m2)
+        staged = _mono_product(m1, m2)
         assert staged == reference_mono_star(m1, m2)
         assert all(type(v) is int for v in staged.values())
 
@@ -261,7 +263,7 @@ class TestStagedKernel:
     def test_each_path_equals_reference_near_the_threshold(self, packed, data):
         m1, m2 = data.draw(shapes_by_kernel_path(packed))
         assert (_packed_size(m1, m2)[1] <= PACKED_MAX_BITS) == packed
-        assert _mono_star(m1, m2) == reference_mono_star(m1, m2)
+        assert _mono_product(m1, m2) == reference_mono_star(m1, m2)
 
     def test_shapes_straddling_the_threshold_equal_reference(self):
         k = 0
@@ -269,7 +271,7 @@ class TestStagedKernel:
             k += 1
         for n in (k, k + 1):   # the last packed z^n * x^n, the first listed
             m1, m2 = NormalMonomial(0, 0, n, 0), NormalMonomial(n, 0, 0, 0)
-            assert _mono_star(m1, m2) == reference_mono_star(m1, m2), n
+            assert _mono_product(m1, m2) == reference_mono_star(m1, m2), n
 
     @settings(max_examples=100, deadline=None)
     @given(st.tuples(*4 * [st.integers(0, 12)]), st.tuples(*4 * [st.integers(0, 12)]))
@@ -284,8 +286,7 @@ class TestStagedKernel:
 
     def test_leaves_the_symbol_cache_alone(self):
         shifted_elem.cache_clear()
-        _mono_star.cache_clear()
-        _mono_star(NormalMonomial(1, 2, 5, 1), NormalMonomial(6, 1, 2, 0))
+        _mono_product(NormalMonomial(1, 2, 5, 1), NormalMonomial(6, 1, 2, 0))
         assert shifted_elem.cache_info().currsize == 0
 
 
@@ -307,10 +308,51 @@ class TestKernelInputs:
         after = _mono_star.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
-    def test_result_is_a_copy_of_the_cached_product(self):
+    def test_each_call_returns_a_product_of_its_own(self):
         product = mono_star_mono((0, 0, 2, 0), (2, 0, 0, 0))
         product.terms.clear()
         assert mono_star_mono((0, 0, 2, 0), (2, 0, 0, 0)) == FIVE_TERM
+
+
+class TestKernelMemo:
+    """Only star keeps kernel products, and it keeps a bounded number."""
+
+    def test_single_pair_callers_leave_the_memo_alone(self):
+        pairs = [((0, 0, 2, 0), (2, 0, 0, 0)), ((1, 2, 3, 1), (3, 2, 1, 0)),
+                 ((0, 0, 1, 0), (1, 0, 0, 0))]
+        star(Element.monomial(pairs[0][0]), Element.monomial(pairs[0][1]))
+        before = _mono_star.cache_info()
+        for _ in range(2):
+            for m1, m2 in pairs:
+                mono_star_mono(m1, m2)
+                structural_coefficient(m1, m2, (0, 1, 0, 3))
+        assert _mono_star.cache_info() == before
+
+    def test_every_module_cache_is_bounded(self):
+        caches = {(module.__name__, name): value.cache_info().maxsize
+                  for module in (algebra, combinatorics)
+                  for name, value in vars(module).items()
+                  if hasattr(value, "cache_info")}
+        assert ("uhsl2.algebra", "_mono_star") in caches
+        assert ("uhsl2.combinatorics", "shifted_elem") in caches
+        assert all(size is not None for size in caches.values()), caches
+
+    @pytest.mark.parametrize("memo", ["cleared", "evicted"])
+    def test_star_equals_reference(self, memo):
+        _mono_star.cache_clear()
+        if memo == "evicted":
+            # one product over more distinct pairs than the memo holds
+            rng = random.Random(4)
+            monos = list(product(range(4), repeat=4))
+            star(Element({m: rng.randint(1, 9) for m in monos}),
+                 Element({m: rng.randint(1, 9) for m in monos[:70]}))
+            info = _mono_star.cache_info()
+            assert info.misses == 256 * 70 > info.maxsize == info.currsize
+        rng = random.Random(memo)
+        for _ in range(40):
+            f = random_element(rng, max_deg=4, n_terms=6)
+            g = random_element(rng, max_deg=4, n_terms=6)
+            assert star(f, g) == reference_star(f, g), (f, g)
 
 
 class TestMonoStarMono:
