@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -37,14 +36,15 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-# verify compares (n + 1)^8 pairs: the 6,561 at n = 2 take about 0.7 s and
-# 16 MB, the 65,536 at n = 3 about 7.4 s and 17 MB
-MAX_VERIFY_EXP = 2
+# verify compares (n + 1)^8 pairs: the 6,561 at n = 2 take about 0.45 s and
+# 16 MB, the 65,536 at n = 3 about 5.5 s and 17 MB
+MAX_VERIFY_EXP = 3
 
-# species deals labels one assignment at a time, so its cost grows
-# exponentially in the total; the costliest pair, dp(0,3,2,2) * dp(3,0,0,2),
-# takes about 0.4 s at total 12, its peer at 13 about 1.3 s and at 14 5.4 s
-MAX_SPECIES_TOTAL = 12
+# species deals each distinct block-size key once, so its cost is the profile
+# walk and ascending_maps_count, which counts maps one by one; the costliest
+# pair measured, exp(z) * exp(x), takes about 0.3 s at total 16, 0.93 s at
+# 18 and 7.9 s at 20
+MAX_SPECIES_TOTAL = 16
 
 
 def _is_natural(text: str) -> bool:
@@ -125,7 +125,7 @@ def cmd_verify(args) -> int:
                 mismatches += 1
                 print(f"MISMATCH {m1} * {m2}")
             for coeff in oracle.terms.values():
-                if Fraction(coeff).denominator != 1:
+                if coeff.denominator != 1:
                     violations += 1
                     print(f"NON-INTEGER coefficient in {m1} * {m2}: {coeff}")
     print(f"verified {pairs} monomial pairs with exponents <= {top}: "

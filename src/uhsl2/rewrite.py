@@ -15,10 +15,17 @@ Bergman's diamond lemma (Adv. Math. 29, 1978) makes the normal form
 independent of the order of rewriting; the tests check ``normalize``
 against whole-word rewriting by ``rewrite_step`` in both its orders.
 
-``normalize`` reads a word left to right and appends each letter to every
-normal word of a running sum.  Only the pair at the boundary can be
-inverted, and its rule outputs come straight from ``_RULES``, so this is
-exactly leftmost-first rewriting.
+One core, ``extend``, appends letters one at a time to a sum of normal
+words.  Only the pair at the boundary can be inverted, and its rule outputs
+come straight from ``_RULES``, so this is exactly leftmost-first rewriting.
+A letter that does not invert the boundary pair is appended in place; an
+inverted one goes through the memo.  ``normalize`` extends the empty word.
+``oracle_star`` starts from the plain word of the left factor, which is
+already normal (extending the empty word by it would only ever append in
+place), and extends it by the right factor's X, Y and Z letters.  The right
+factor's H letters are not rewritten at all: H has the top rank, so
+appending one never inverts a pair, and they only add to each final word's
+count of H.
 
 The memo of insertions, keyed on (normal word, letter), is the only shared
 state.  It lives for the whole process, so a verification sweep pays for
@@ -39,6 +46,9 @@ WordSum = dict[str, int]
 
 ALPHABET = "XYZH"
 _RANK = {c: i for i, c in enumerate(ALPHABET)}
+# letter -> the endings of a normal word that stay normal with the letter
+# appended: the empty word and each letter of rank at most its own
+_KEEPS_NORMAL = {c: frozenset(("", *ALPHABET[: i + 1])) for i, c in enumerate(ALPHABET)}
 
 # adjacent inverted pair -> replacement terms
 _RULES: dict[str, tuple[tuple[str, int], ...]] = {
@@ -81,7 +91,7 @@ def rewrite_step(word: FreeWord, strategy: str = "leftmost") -> WordSum | None:
 def _known(word: FreeWord, letter: str) -> WordSum | None:
     """The normal form of the normal ``word`` with ``letter`` appended, when
     the joined word is normal or in the memo; None otherwise."""
-    if not word or _RANK[word[-1]] <= _RANK[letter]:
+    if word[-1:] in _KEEPS_NORMAL[letter]:
         return {word + letter: 1}
     return _MEMO.get((word, letter))
 
@@ -122,29 +132,46 @@ def _insert(word: FreeWord, letter: str) -> WordSum:
     return _MEMO[(word, letter)]
 
 
-def normalize(word: FreeWord) -> WordSum:
-    """Exhaustively rewrite ``word`` into a combination of normal words.
+def extend(total: WordSum, letters: str) -> WordSum:
+    """Append ``letters`` one at a time to ``total``, a sum of normal words.
 
-    The letters are appended left to right to a running sum of normal words.
-    This is exactly leftmost rewriting: on ``n c rest`` with ``n`` normal,
-    the leftmost inverted pair stays inside ``n c`` until that prefix is
-    normal again, and ``rest`` is untouched.  Insertions are memoized on
-    (normal word, letter) for the life of the process; the memo grows with
-    the distinct normal words met, not with the rewrite branches.  No step
-    recurses, so the word length is not limited by the interpreter's
-    recursion depth.
+    Each letter is appended to every normal word of the running sum.  When it
+    does not invert the pair at the boundary, the joined word is normal and
+    is added as it is; otherwise the insertion is read from the memo, or
+    computed by ``_insert`` and memoized.  This is exactly leftmost
+    rewriting: on ``n c rest`` with ``n`` normal, the leftmost inverted pair
+    stays inside ``n c`` until that prefix is normal again, and ``rest`` is
+    untouched.  No step recurses, so the word length is not limited by the
+    interpreter's recursion depth.
     """
-    total: WordSum = {"": 1}
-    for letter in word:
+    memo_get = _MEMO.get
+    for letter in letters:
+        keeps_normal = _KEEPS_NORMAL[letter]
         nxt: WordSum = {}
+        get = nxt.get
         for w, k in total.items():
-            got = _known(w, letter)
+            if w[-1:] in keeps_normal:
+                q = w + letter
+                nxt[q] = get(q, 0) + k
+                continue
+            got = memo_get((w, letter))
             if got is None:
                 got = _insert(w, letter)
             for q, j in got.items():
-                nxt[q] = nxt.get(q, 0) + k * j
+                nxt[q] = get(q, 0) + k * j
         total = {q: v for q, v in nxt.items() if v}
     return total
+
+
+def normalize(word: FreeWord) -> WordSum:
+    """Exhaustively rewrite ``word`` into a combination of normal words.
+
+    The letters are appended left to right to the empty word by ``extend``.
+    Insertions are memoized on (normal word, letter) for the life of the
+    process; the memo grows with the distinct normal words met, not with the
+    rewrite branches.
+    """
+    return extend({"": 1}, word)
 
 
 def to_element(word_sum: WordSum) -> Element:
@@ -173,13 +200,27 @@ def word_of_monomial(mono) -> FreeWord:
 def oracle_star(m1, m2) -> Element:
     """Star product of two divided monomials via plain-word rewriting.
 
-    The concatenated plain word is normalized and the result divided by the
-    factorials of the input exponents (the inputs are divided monomials).
+    The rewrite starts from the plain word of ``m1``, which is already
+    normal, and extends it by the X, Y and Z letters of ``m2``.  The H
+    letters of ``m2`` would be concatenated to every resulting word, since H
+    has the top rank and appending it never inverts a pair; so they only add
+    to each word's count of H.  Each normal word's coefficient is scaled to
+    the divided basis and divided by the factorials of the input exponents
+    in one exact divmod: the quotient is an int when the division is exact,
+    and a Fraction when a remainder is left, so a non-integral structure
+    constant still shows.
     """
     m1, m2 = NormalMonomial(*m1), NormalMonomial(*m2)
-    word = word_of_monomial(m1) + word_of_monomial(m2)
+    a2, b2, c2, d2 = m2
     den = 1
     for e in (*m1, *m2):
         den *= factorial(e)
-    plain = to_element(normalize(word)).terms
-    return Element({mono: Fraction(v, den) for mono, v in plain.items()})
+    words = extend({word_of_monomial(m1): 1}, "X" * a2 + "Y" * b2 + "Z" * c2)
+    terms: dict[NormalMonomial, Fraction | int] = {}
+    for word, coeff in words.items():
+        a, b, c, d = map(word.count, ALPHABET)
+        d += d2
+        num = coeff * factorial(a) * factorial(b) * factorial(c) * factorial(d)
+        quotient, remainder = divmod(num, den)
+        terms[NormalMonomial(a, b, c, d)] = Fraction(num, den) if remainder else quotient
+    return Element._built(terms)

@@ -13,10 +13,12 @@ The count runs in two stages.  The block-size profiles are enumerated
 first, in integers: the walk runs over the eight argument sizes the two
 functors see, each drawn from the functor's slot sizes, and these fix every
 block but h5 and h6, the only two sizes left free.  Then, for each profile,
-the actual labels of each color are dealt into its blocks with
-``combinations`` and the deals are counted one by one.  So the multinomial
-factors of the algebraic formula are never inserted by hand; they emerge as
-the number of labelled assignments sharing a profile.
+the labels of each color are dealt into its blocks: the choices of labels
+for a block are enumerated with ``combinations`` and counted one by one.  So
+the multinomial factors of the algebraic formula are never inserted by hand;
+they emerge as the number of labelled assignments sharing a profile.  A
+deal's count depends only on the number of labels and the block sizes, so
+each distinct deal is enumerated once and its count kept in a bounded memo.
 """
 
 from __future__ import annotations
@@ -107,7 +109,9 @@ class Exponential(_OneColor):
         return f"exp({self.color})"
 
 
-@lru_cache(maxsize=None)
+# base, m and k are the sizes of the disjoint blocks z1 + x2, h3 and h4, so a
+# species check up to total T meets at most C(T + 3, 3) keys: 969 at T = 16
+@lru_cache(maxsize=1 << 10)
 def ascending_maps_count(base: int, m: int, k: int) -> int:
     """Maps from an ordered k-set into components of sizes base..base+m-1,
     with strictly increasing component indices, counted one by one.
@@ -125,24 +129,25 @@ def ascending_maps_count(base: int, m: int, k: int) -> int:
     return count
 
 
-def _deals(pool: Sequence[int], blocks: Sequence[int]) -> int:
-    """Ways to deal the labels of ``pool`` into blocks of the given sizes.
+# the key is a partition of n into at most six parts, the blocks of h; a
+# species check up to total T meets at most one per partition of each n <= T,
+# 634 at T = 16
+@lru_cache(maxsize=1 << 10)
+def _deals(n: int, blocks: tuple[int, ...]) -> int:
+    """Ways to deal n labels into blocks of the given sizes, which sum to n.
 
-    The sizes sum to ``len(pool)`` and the last block takes the labels left
-    over.  Every deal is enumerated with ``combinations`` and counted one by
-    one.
+    The choices of labels for the first block are enumerated with
+    ``combinations`` and counted one by one; the last block takes the labels
+    left over.  Each choice leaves the same number of labels for the other
+    blocks, so their deals are counted by one memoized call on the rest, and
+    each distinct (n, blocks) is enumerated once while it stays in the memo.
     """
     if len(blocks) <= 1:
         return 1
-    first, *rest = blocks
+    rest_count = _deals(n - blocks[0], blocks[1:])
     count = 0
-    if len(rest) == 1:
-        for _ in combinations(pool, first):
-            count += 1
-        return count
-    for chosen in combinations(pool, first):
-        taken = set(chosen)
-        count += _deals([label for label in pool if label not in taken], rest)
+    for _ in combinations(range(n), blocks[0]):
+        count += rest_count
     return count
 
 
@@ -161,16 +166,18 @@ def star_species(F: FunctorSpec, G: FunctorSpec, sizes: ColoredSizes | Sequence[
     two stages.  ``_profiles`` enumerates the block-size profiles with a
     nonzero contribution in integers, from the eight argument sizes of F and
     G and the two free sizes |h5| and |h6|.  Then, for each profile, the
-    labels of each color are dealt into its blocks one assignment at a time,
-    and the product of the four deal counts multiplies the weight.
+    labels of each color are dealt into its blocks by ``_deals``, and the
+    product of the four deal counts multiplies the weight.  A deal count
+    depends only on the number of labels and the block sizes, so each
+    distinct one is enumerated once and memoized.
     """
     total = 0
     for weight, *blocks in _profiles(F, G, sizes):
         count = 1
         for n, block_sizes in zip(sizes, blocks):
-            # reordering the blocks is a bijection on the deals: dealing the
-            # small ones first leaves the most to the final, uncounted block
-            count *= _deals(range(n), sorted(k for k in block_sizes if k))
+            # reordering the blocks is a bijection on the deals, so one sorted
+            # key serves every order; the largest block comes last, uncounted
+            count *= _deals(n, tuple(sorted(k for k in block_sizes if k)))
         total += weight * count
     return total
 

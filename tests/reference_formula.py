@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator, NamedTuple
 
-from uhsl2.algebra import Element, NormalMonomial, _combine_caps, _mono_star
+from uhsl2.algebra import Element, NormalMonomial, _combine_caps, _mono_product
 from uhsl2.combinatorics import shifted_elem
 
 
@@ -124,6 +124,6 @@ def reference_star(f: Element, g: Element) -> Element:
             if cap is not None and m1.degree + m2.degree > cap:
                 continue
             c12 = c1 * c2
-            for mono, coeff in _mono_star(m1, m2).items():
+            for mono, coeff in _mono_product(m1, m2).items():
                 out[mono] = out.get(mono, 0) + c12 * coeff
     return Element(out, cap)

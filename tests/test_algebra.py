@@ -17,7 +17,7 @@ from reference_formula import (
     reference_mono_star,
     reference_star,
 )
-from uhsl2 import algebra, combinatorics
+from uhsl2 import algebra, combinatorics, species
 from uhsl2.algebra import (
     PACKED_MAX_BITS,
     Element,
@@ -330,11 +330,13 @@ class TestKernelMemo:
 
     def test_every_module_cache_is_bounded(self):
         caches = {(module.__name__, name): value.cache_info().maxsize
-                  for module in (algebra, combinatorics)
+                  for module in (algebra, combinatorics, species)
                   for name, value in vars(module).items()
                   if hasattr(value, "cache_info")}
         assert ("uhsl2.algebra", "_mono_star") in caches
         assert ("uhsl2.combinatorics", "shifted_elem") in caches
+        assert ("uhsl2.species", "ascending_maps_count") in caches
+        assert ("uhsl2.species", "_deals") in caches
         assert all(size is not None for size in caches.values()), caches
 
     @pytest.mark.parametrize("memo", ["cleared", "evicted"])

@@ -10,6 +10,7 @@ import resource
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
@@ -261,12 +262,28 @@ class TestVerifyCommand:
         assert "MISMATCH (1, 0, 1, 0) * (1, 1, 0, 0)\n" in out
         assert "256 monomial pairs with exponents <= 1: 1 mismatches" in out
 
+    def test_non_integral_coefficient_exits_1(self, capsys, monkeypatch):
+        real = rewrite.oracle_star
+
+        def halved(m1, m2):
+            result = real(m1, m2)
+            if (m1, m2) == ((0, 0, 1, 0), (1, 0, 0, 0)):
+                result = result + Element({(0, 1, 0, 1): Fraction(1, 2)})
+            return result
+
+        monkeypatch.setattr(rewrite, "oracle_star", halved)
+        code, out, _ = run(capsys, "verify", "--max-exp", "1")
+        assert code == 1
+        assert "NON-INTEGER coefficient in (0, 0, 1, 0) * (1, 0, 0, 0): -1/2\n" in out
+        assert out.endswith("256 monomial pairs with exponents <= 1: "
+                            "1 mismatches, 1 integrality violations\n")
+
     def test_sweep_at_the_bound_passes(self):
         proc = run_entry_point("verify", "--max-exp", str(cli.MAX_VERIFY_EXP))
         assert (proc.returncode, proc.stderr) == (0, "")
         assert f"verified {(cli.MAX_VERIFY_EXP + 1) ** 8} monomial pairs" in proc.stdout
 
-    @pytest.mark.parametrize("max_exp", ["3", "1000000000"])
+    @pytest.mark.parametrize("max_exp", [str(cli.MAX_VERIFY_EXP + 1), "1000000000"])
     def test_max_exp_above_the_bound_is_usage_error(self, max_exp):
         # the bound is checked before the sweep starts
         proc = run_entry_point("verify", "--max-exp", max_exp, timeout=5)
@@ -313,8 +330,9 @@ class TestSpeciesCommand:
         assert proc.stderr == f"error: --max-total must be at most {cli.MAX_SPECIES_TOTAL}\n"
 
     def test_costliest_pair_at_the_bound(self):
-        # the pair that deals the most labels at the largest total
-        proc = run_entry_point("species", "--left", "dp(0,3,2,2)", "--right", "dp(3,0,0,2)",
+        # the costliest pair measured at the largest total, over every pair
+        # of exponentials and every divided power beside exp(z) or exp(x)
+        proc = run_entry_point("species", "--left", "exp(z)", "--right", "exp(x)",
                                "--max-total", str(cli.MAX_SPECIES_TOTAL), timeout=5)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.endswith(f"(total <= {cli.MAX_SPECIES_TOTAL}): 0 mismatches\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 
 from reference_rewrite import reference_normalize
 from uhsl2 import rewrite
-from uhsl2.algebra import Element
+from uhsl2.algebra import Element, mono_star_mono
 from uhsl2.rewrite import (
     ALPHABET,
+    extend,
     is_normal,
     normalize,
     oracle_star,
@@ -24,6 +26,7 @@ from uhsl2.rewrite import (
 )
 
 words = st.text(alphabet=ALPHABET, max_size=8)
+monomials = st.tuples(*[st.integers(0, 3)] * 4)
 STRATEGIES = ("leftmost", "rightmost")
 
 
@@ -173,6 +176,19 @@ class TestNormalize:
             assert all(is_normal(w) for w in result)
 
 
+class TestExtend:
+    @settings(deadline=None)
+    @given(words, words)
+    def test_extending_a_normal_form_normalizes_the_joined_word(self, u, v):
+        assert extend(normalize(u), v) == normalize(u + v)
+
+    def test_leaves_its_input_alone(self):
+        total = normalize("ZX")
+        before = dict(total)
+        extend(total, "YX")
+        assert total == before
+
+
 class TestToElement:
     def test_factorial_conversion(self):
         assert to_element({"XX": 1}) == Element({(2, 0, 0, 0): 2})
@@ -216,3 +232,24 @@ class TestOracleStar:
     def test_oracle_coefficients_are_exact(self):
         for coeff in oracle_star((0, 0, 3, 0), (3, 0, 0, 0)).terms.values():
             assert Fraction(coeff).denominator == 1
+
+    @settings(deadline=None, max_examples=80)
+    @given(monomials, monomials)
+    def test_equals_whole_word_rewriting_and_the_closed_formula(self, m1, m2):
+        # the whole word m1 m2, rewritten from scratch, then divided by the
+        # input factorials
+        plain = to_element(reference_normalize(word_of_monomial(m1) + word_of_monomial(m2)))
+        den = prod(map(factorial, (*m1, *m2)))
+        whole = Element({mono: Fraction(v, den) for mono, v in plain.terms.items()})
+        oracle = oracle_star(m1, m2)
+        assert oracle == whole == mono_star_mono(m1, m2)
+        assert all(type(v) is int for v in oracle.terms.values())
+
+    def test_a_remainder_stays_a_fraction(self, monkeypatch):
+        # a wrong insertion, zx -> xz - 2yh, leaves the plain term -3xyh in
+        # z x^2, and the 2! of x^2/2! does not divide it
+        monkeypatch.setattr(rewrite, "_MEMO", {("Z", "X"): {"XZ": 1, "YH": -2}})
+        result = oracle_star((0, 0, 1, 0), (2, 0, 0, 0))
+        assert result.terms == {(2, 0, 1, 0): 1, (1, 1, 0, 1): Fraction(-3, 2),
+                                (1, 0, 0, 2): -4}
+        assert type(result.coefficient((1, 1, 0, 1))) is Fraction

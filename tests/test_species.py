@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from reference_species import reference_star_species
 from uhsl2 import species
 from uhsl2.algebra import COLORS, Element, exp_series, star
+from uhsl2.cli import MAX_SPECIES_TOTAL
 from uhsl2.combinatorics import shifted_elem
 from uhsl2.species import (
     ColoredSizes,
@@ -21,6 +23,7 @@ from uhsl2.species import (
     ascending_maps_count,
     size_tuples,
     species_coefficient_check,
+    species_element,
     star_species,
     valuation_element,
 )
@@ -132,6 +135,44 @@ class TestAscendingMapsCount:
     def test_rejects_negative_row_length(self):
         with pytest.raises(ValueError):
             ascending_maps_count(-1, 1, 1)
+
+
+def block_partitions(n, parts, smallest=1):
+    """Partitions of n into at most ``parts`` parts of at least ``smallest``,
+    each in ascending order: the sorted block sizes of one color's deal."""
+    if n == 0:
+        yield ()
+    elif parts:
+        for first in range(smallest, n + 1):
+            for rest in block_partitions(n - first, parts - 1, first):
+                yield (first, *rest)
+
+
+class TestDeals:
+    """Deal counts, and their memo of one key per partition of the labels."""
+
+    def test_counts_are_multinomials(self):
+        for n in range(9):
+            for blocks in block_partitions(n, 6):
+                assert species._deals(n, blocks) == factorial(n) // prod(map(factorial, blocks))
+
+    def test_memo_keys_are_bounded(self):
+        # a check up to total T meets at most one deal key per partition of
+        # each n <= T into at most six parts (h has the most blocks), and at
+        # most C(T + 3, 3) keys of ascending_maps_count; both memos hold all
+        # of them at the CLI's bound
+        def deal_keys(total):
+            return sum(1 for n in range(total + 1) for _ in block_partitions(n, 6))
+
+        assert deal_keys(MAX_SPECIES_TOTAL) <= species._deals.cache_info().maxsize
+        assert comb(MAX_SPECIES_TOTAL + 3, 3) <= ascending_maps_count.cache_info().maxsize
+        species._deals.cache_clear()
+        ascending_maps_count.cache_clear()
+        for F in RIGID:
+            for G in RIGID:
+                species_element(F, G, 8)
+        assert 0 < species._deals.cache_info().currsize <= deal_keys(8) == 64
+        assert 0 < ascending_maps_count.cache_info().currsize <= comb(8 + 3, 3)
 
 
 class TestStarSpecies:
