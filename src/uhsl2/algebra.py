@@ -85,6 +85,13 @@ def _poly_mul(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
+def _binomial_row(n: int, v: int) -> list[int]:
+    """Coefficient list of (1 + v t)^n, of length n + 1 for every v."""
+    if not v:
+        return [1] + [0] * n
+    return [comb(n, i) * v ** i for i in range(n + 1)]
+
+
 def _listed_weights(m1, m2):
     """The weight polynomial of each rho3, kept as coefficient lists."""
     _, b1, c1, _ = m1
@@ -108,11 +115,8 @@ def _listed_weights(m1, m2):
                     f"symbol row of {tuple(m1)} * {tuple(m2)} at rho3 = {rho3}")
             symbols = quotient
         alpha2, gamma1 = a2 - rho3, c1 - rho3
-        yield _poly_mul(
-            _poly_mul([comb(b1, i) * (2 * alpha2) ** i for i in range(b1 + 1)],
-                      [comb(b2, j) * (2 * gamma1) ** j for j in range(b2 + 1)]),
-            symbols,
-        )
+        yield _poly_mul(_poly_mul(_binomial_row(b1, 2 * alpha2),
+                                  _binomial_row(b2, 2 * gamma1)), symbols)
 
 
 def _packed_size(m1, m2) -> tuple[int, int]:
@@ -229,18 +233,25 @@ class Element:
     ``terms`` maps NormalMonomial to an exact rational (int or Fraction);
     zero coefficients are pruned on construction.  ``cap``, when set, is a
     total-degree bound: monomials above it are discarded, and arithmetic
-    between elements with distinct explicit caps is rejected.  Elements are
-    treated as immutable values.
+    between elements with distinct explicit caps is rejected.  The
+    constructor is the one place these rules are enforced: a coefficient or
+    a cap of any other type, ``bool`` included, is a ``TypeError``, and a
+    negative cap a ``ValueError``.  Elements are treated as immutable values.
     """
 
     __slots__ = ("terms", "cap")
 
     def __init__(self, terms: dict | None = None, cap: int | None = None):
+        if cap is not None:
+            if type(cap) is not int:
+                raise TypeError(f"degree cap {cap!r} is not an int")
+            if cap < 0:
+                raise ValueError(f"degree cap {cap} is negative")
         self.cap = cap
         clean: dict[NormalMonomial, Fraction | int] = {}
         for key, val in (terms or {}).items():
-            if not isinstance(val, (int, Fraction)):
-                raise TypeError(f"inexact coefficient {val!r}: use int or Fraction")
+            if not isinstance(val, (int, Fraction)) or val.__class__ is bool:
+                raise TypeError(f"coefficient {val!r} is not an int or a Fraction")
             if not val:
                 continue
             mono = key if isinstance(key, NormalMonomial) else NormalMonomial(*key)
@@ -278,10 +289,6 @@ class Element:
     def coefficient(self, mono) -> Fraction | int:
         return self.terms.get(NormalMonomial(*mono), 0)
 
-    def degree(self) -> int:
-        """Largest total degree in the support (-1 for the zero element)."""
-        return max((m.degree for m in self.terms), default=-1)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -309,8 +316,6 @@ class Element:
 
     def scale(self, q) -> "Element":
         """Multiply every coefficient by the exact rational q."""
-        if not q:
-            return Element.zero(self.cap)
         return Element({k: v * q for k, v in self.terms.items()}, self.cap)
 
     def __mul__(self, other):
@@ -402,22 +407,12 @@ def structural_coefficient(m1, m2, out) -> int:
 
 def normal_order_zy(a: int, b: int) -> Element:
     """Normal form of z^a/a! y^b/b!: sum over k of (2a)^k y^(b-k) z^a h^k."""
-    terms = {}
-    for k in range(b + 1):
-        coeff = (2 * a) ** k
-        if coeff:
-            terms[NormalMonomial(0, b - k, a, k)] = coeff
-    return Element(terms)
+    return Element({NormalMonomial(0, b - k, a, k): (2 * a) ** k for k in range(b + 1)})
 
 
 def normal_order_yx(a: int, b: int) -> Element:
     """Normal form of y^a/a! x^b/b!: sum over k of (2b)^k x^b y^(a-k) h^k."""
-    terms = {}
-    for k in range(a + 1):
-        coeff = (2 * b) ** k
-        if coeff:
-            terms[NormalMonomial(b, a - k, 0, k)] = coeff
-    return Element(terms)
+    return Element({NormalMonomial(b, a - k, 0, k): (2 * b) ** k for k in range(a + 1)})
 
 
 def normal_order_zx(a: int, b: int) -> Element:
@@ -425,27 +420,22 @@ def normal_order_zx(a: int, b: int) -> Element:
 
     Double sum over 0 <= w <= v <= min(a, b) with coefficient
     (-1)^v (v-w)! (v+w)_w (a+b-2v)^w_v on the divided monomial
-    x^(b-v) y^(v-w) z^(a-v) h^(v+w).
+    x^(b-v) y^(v-w) z^(a-v) h^(v+w); each (v, w) gives its own monomial.
     """
     terms: dict[NormalMonomial, int] = {}
     for v in range(min(a, b) + 1):
         for w in range(v + 1):
-            coeff = (
+            terms[NormalMonomial(b - v, v - w, a - v, v + w)] = (
                 (-1) ** v
                 * factorial(v - w)
                 * falling_factorial(v + w, w)
                 * shifted_elem(a + b - 2 * v, w, v)
             )
-            if coeff:
-                mono = NormalMonomial(b - v, v - w, a - v, v + w)
-                terms[mono] = terms.get(mono, 0) + coeff
     return Element(terms)
 
 
 def exp_series(color: str, cap: int) -> Element:
     """Truncated exponential series in one generator: sum of its divided powers."""
-    if cap < 0:
-        raise ValueError("cap must be a natural number")
     if color.lower() not in COLORS:
         raise ValueError(f"unknown generator {color!r}")
     i = COLORS.index(color.lower())

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from . import algebra
 from .algebra import COLORS, mono_star_mono, normal_order_zx, star
 from .combinatorics import shifted_elem, vam3_lhs, vam3_rhs
-from .expressions import EvalError, ParseError, evaluate, parse
+from .expressions import EvalError, ParseError, check_pair_exponents, evaluate, parse
 from .serialize import element_to_json, pretty
 
 if TYPE_CHECKING:
@@ -103,6 +103,11 @@ def cmd_star(args) -> int:
 
 
 def cmd_coeff(args) -> int:
+    try:
+        check_pair_exponents([args.left], [args.right])
+    except EvalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(algebra.structural_coefficient(args.left, args.right, args.out))
     return EXIT_OK
 

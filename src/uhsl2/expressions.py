@@ -182,6 +182,13 @@ MAX_CAP = 32
 # a pair of distinct degree-16 monomials, such as (0,6,10,0) * (10,6,0,0),
 # can take 0.4 ms
 MAX_PAIRS = 100_000
+# the kernel's cost for one pair m1 * m2 grows with b1, c1, d1 of m1 and a2,
+# b2, d2 of m2 (a1 and c2 enter only two binomials), so evaluate and the
+# coeff command refuse a pair whose six sum to more than this.  A pair under
+# a cap sums to at most 2 * MAX_CAP = 64.  The costliest shapes at 256 take
+# about 0.3 s, such as (0,64,64,0) * (64,64,0,0); at 400, (0,100,100,0) *
+# (100,100,0,0) takes 1.7 s
+MAX_PAIR_EXPONENTS = 256
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -344,12 +351,25 @@ def _factor_text(node: Expression) -> str:
     return f"({to_text(node)})"
 
 
+def check_pair_exponents(left, right) -> None:
+    """Raise ``EvalError`` when a monomial of ``left`` and one of ``right``
+    make a pair above ``MAX_PAIR_EXPONENTS``: when the largest b + c + d on
+    the left plus the largest a + b + d on the right exceeds it."""
+    total = (max((b + c + d for _, b, c, d in left), default=0)
+             + max((a + b + d for a, b, _, d in right), default=0))
+    if total > MAX_PAIR_EXPONENTS:
+        raise EvalError(f"a monomial pair's exponents b1+c1+d1+a2+b2+d2 sum to "
+                        f"{total}, more than {MAX_PAIR_EXPONENTS}")
+
+
 def evaluate(node: Expression, cap: int | None = None) -> Element:
     """Bottom-up evaluation to an Element under an optional degree cap.
 
     Raises ``EvalError`` before any product that would bring the monomial
     pairs expanded by this call, ``len(f.terms) * len(g.terms)`` for each
-    product ``f * g``, above ``MAX_PAIRS``.
+    product ``f * g``, above ``MAX_PAIRS``, or that has a pair above
+    ``MAX_PAIR_EXPONENTS``.  A cap that is not an ``int`` is a
+    ``TypeError``, as in ``Element``.
     """
     if cap is not None and not 0 <= cap <= MAX_CAP:
         raise EvalError(f"degree cap must be a natural number at most {MAX_CAP}")
@@ -385,6 +405,7 @@ def _evaluate(node: Expression, cap: int | None, budget: list[int]) -> Element:
             if budget[0] < 0:
                 raise EvalError(f"the products expand more than {MAX_PAIRS} "
                                 f"monomial pairs")
+            check_pair_exponents(product.terms, right.terms)
             product = product * right
         return product
     if isinstance(node, Negate):

@@ -208,12 +208,17 @@ def oracle_star(m1, m2) -> Element:
     the divided basis and divided by the factorials of the input exponents
     in one exact divmod: the quotient is an int when the division is exact,
     and a Fraction when a remainder is left, so a non-integral structure
-    constant still shows.
+    constant still shows.  The exponents are checked as by
+    ``mono_star_mono``, with the same ``TypeError`` and ``ValueError``.
     """
     m1, m2 = NormalMonomial(*m1), NormalMonomial(*m2)
     a2, b2, c2, d2 = m2
     den = 1
-    for e in (*m1, *m2):
+    for e in m1 + m2:
+        if type(e) is not int:
+            raise TypeError(f"non-integer exponent in {tuple(m1)} * {tuple(m2)}")
+        if e < 0:
+            raise ValueError(f"negative exponent in {tuple(m1)} * {tuple(m2)}")
         den *= factorial(e)
     words = extend({word_of_monomial(m1): 1}, "X" * a2 + "Y" * b2 + "Z" * c2)
     terms: dict[NormalMonomial, Fraction | int] = {}

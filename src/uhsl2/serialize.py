@@ -8,6 +8,7 @@ monomial.  Identical elements serialize to byte-identical text.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .algebra import Element
@@ -16,7 +17,7 @@ from .algebra import Element
 def element_to_json(element: Element) -> str:
     terms = []
     for mono in sorted(element.terms):
-        coeff = Fraction(element.terms[mono])
+        coeff = element.terms[mono]
         terms.append(
             {"m": list(mono), "num": str(coeff.numerator), "den": str(coeff.denominator)}
         )
@@ -34,14 +35,23 @@ def element_from_json(text: str) -> Element:
     terms = {}
     for entry in data["terms"]:
         try:
-            mono = tuple(entry["m"])
-            # str() first, so that a float is rejected instead of truncated
-            coeff = Fraction(int(str(entry["num"])), int(str(entry["den"])))
-        except (TypeError, KeyError, ValueError, ZeroDivisionError) as exc:
+            mono, num, den = tuple(entry["m"]), entry["num"], entry["den"]
+        except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed term {entry!r}: {exc}") from exc
         if len(mono) != 4 or any(type(e) is not int or e < 0 for e in mono):
             raise ValueError(f"malformed term {entry!r}: m must be 4 naturals")
-        terms[mono] = coeff
+        # a numerator and a nonzero denominator as element_to_json writes
+        # them; int() would also read "+5", " 7 ", "1_000" and other scripts'
+        # digits
+        if not (type(num) is type(den) is str and re.fullmatch("-?[0-9]+", num)
+                and re.fullmatch("0*[1-9][0-9]*", den)):
+            raise ValueError(f"malformed term {entry!r}: num and den must be "
+                             f"decimal strings, den positive")
+        if mono in terms:
+            raise ValueError(f"malformed term {entry!r}: repeated m")
+        if cap is not None and sum(mono) > cap:
+            raise ValueError(f"malformed term {entry!r}: m is above the cap")
+        terms[mono] = Fraction(int(num), int(den))
     return Element(terms, cap)
 
 
@@ -51,7 +61,7 @@ def pretty(element: Element) -> str:
         return "0"
     parts = []
     for mono in sorted(element.terms):
-        coeff = Fraction(element.terms[mono])
+        coeff = element.terms[mono]
         sign = "-" if coeff < 0 else "+"
         mag = abs(coeff)
         body = str(mono)

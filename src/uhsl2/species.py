@@ -229,22 +229,14 @@ def valuation_element(spec: FunctorSpec, cap: int) -> Element:
     Built directly from functor values on size tuples, one divided monomial
     per accepted tuple.
     """
-    terms = {}
-    for sizes in size_tuples(cap):
-        v = spec.value(sizes)
-        if v:
-            terms[NormalMonomial(*sizes)] = v
-    return Element(terms, cap)
+    return Element({NormalMonomial(*sizes): spec.value(sizes)
+                    for sizes in size_tuples(cap)}, cap)
 
 
 def species_element(F: FunctorSpec, G: FunctorSpec, max_total: int) -> Element:
     """The product F * G up to total degree ``max_total``, from counts alone."""
-    terms = {}
-    for sizes in size_tuples(max_total):
-        count = star_species(F, G, sizes)
-        if count:
-            terms[NormalMonomial(*sizes)] = count
-    return Element(terms)
+    return Element({NormalMonomial(*sizes): star_species(F, G, sizes)
+                    for sizes in size_tuples(max_total)})
 
 
 def size_tuples(max_total: int) -> Iterator[ColoredSizes]:

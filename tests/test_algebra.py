@@ -7,6 +7,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +84,9 @@ class TestElementBasics:
                 Element({(1, 0, 0, 0): inexact})
             with pytest.raises(TypeError):
                 Element.monomial((1, 0, 0, 0)).scale(inexact)
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="is not an int or a Fraction"):
+                Element({(1, 0, 0, 0): flag})
 
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
@@ -105,6 +109,11 @@ class TestElementBasics:
     def test_scalar_zero(self):
         f = Element({(1, 0, 0, 0): 5})
         assert f.scale(0).is_zero()
+        assert f.scale(Fraction(0)).is_zero()
+        # an inexact zero is refused as any inexact scalar is
+        for inexact in (0.0, Decimal(0)):
+            with pytest.raises(TypeError):
+                f.scale(inexact)
 
     def test_scalar_two(self):
         assert Element.monomial((1, 0, 0, 0)).scale(2) == Element({(1, 0, 0, 0): 2})
@@ -113,6 +122,20 @@ class TestElementBasics:
     def test_cap_truncates_on_construction(self):
         f = Element({(1, 0, 0, 0): 1, (2, 2, 0, 0): 1}, cap=2)
         assert f.terms == {NormalMonomial(1, 0, 0, 0): 1}
+
+    @pytest.mark.parametrize("cap, error", [
+        (True, TypeError), (False, TypeError), (1.5, TypeError), (2.0, TypeError),
+        (Fraction(2), TypeError), ("2", TypeError), (-1, ValueError),
+    ])
+    def test_rejects_a_cap_that_is_not_a_natural_int(self, cap, error):
+        with pytest.raises(error):
+            Element({(1, 0, 0, 0): 1}, cap)
+        with pytest.raises(error):
+            Element.zero(cap)
+        with pytest.raises(error):
+            X1.with_cap(cap)
+        with pytest.raises(error):
+            exp_series("x", cap)
 
     def test_cap_mismatch_is_usage_error(self):
         f = Element({(1, 0, 0, 0): 1}, cap=2)
@@ -283,6 +306,20 @@ class TestStagedKernel:
     @given(pairs_of_total_degree(10))
     def test_against_rewrite_oracle_to_degree_10(self, pair):
         assert mono_star_mono(*pair) == oracle_star(*pair)
+
+    @pytest.mark.parametrize("m1, m2, calls", [
+        ((0, 40, 0, 0), (0, 40, 0, 0), 0),   # (1 + 0 t)^40 twice
+        ((0, 40, 3, 0), (0, 40, 0, 0), 41),  # (1 + 0 t)^40 (1 + 6 t)^40
+        ((0, 40, 0, 0), (3, 40, 0, 0), 41),  # (1 + 6 t)^40 (1 + 0 t)^40
+    ])
+    def test_binomial_rows_of_a_zero_base_need_no_binomials(self, monkeypatch, m1, m2,
+                                                            calls):
+        counted = []
+        monkeypatch.setattr(algebra, "comb", lambda n, k: counted.append(n) or comb(n, k))
+        rows = list(_listed_weights(m1, m2))
+        assert len(counted) == calls
+        monkeypatch.undo()
+        assert rows == list(_packed_weights(m1, m2, _packed_size(m1, m2)[0]))
 
     def test_leaves_the_symbol_cache_alone(self):
         shifted_elem.cache_clear()

@@ -11,7 +11,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -20,7 +20,7 @@ import uhsl2
 from uhsl2 import cli, rewrite, species
 from uhsl2.algebra import Element
 from uhsl2.cli import main
-from uhsl2.expressions import MAX_CAP, MAX_PAIRS, evaluate, parse
+from uhsl2.expressions import MAX_CAP, MAX_PAIR_EXPONENTS, MAX_PAIRS, evaluate, parse
 from uhsl2.serialize import element_from_json, element_to_json
 
 
@@ -149,6 +149,24 @@ class TestStarCommand:
         assert proc.stderr == (f"error: the products expand more than {MAX_PAIRS} "
                                f"monomial pairs\n")
 
+    @pytest.mark.parametrize("expr, code", [
+        # the costliest shape measured at the bound, about 0.3 s of kernel
+        ("m(0,64,64,0) * m(64,64,0,0)", 0),
+        ("m(0,64,64,0) * m(64,64,0,1)", 2),
+        ("m(0,64,65,0) * m(64,64,0,0)", 2),
+    ])
+    def test_pair_bound(self, expr, code):
+        proc = run_entry_point("star", "--expr", expr, "--format", "json", timeout=5)
+        assert proc.returncode == code
+        if code:
+            assert proc.stdout == ""
+            assert proc.stderr == (f"error: a monomial pair's exponents b1+c1+d1+a2+b2+d2 "
+                                   f"sum to {MAX_PAIR_EXPONENTS + 1}, more than "
+                                   f"{MAX_PAIR_EXPONENTS}\n")
+        else:
+            assert proc.stderr == ""
+            assert len(element_from_json(proc.stdout).terms) == 10_336
+
     def test_deep_nesting_is_usage_error(self, capsys):
         code, out, err = run(capsys, "star", "--expr", "(" * 3000 + "x" + ")" * 3000)
         assert code == 2
@@ -217,6 +235,21 @@ class TestCoeffCommand:
                            "--right", "1,0,0,0", "--out", "1,0,0,1")
         assert code == 0
         assert out.strip() == "2"
+
+    @pytest.mark.parametrize("left, right, code", [
+        ("0,64,64,0", "64,64,0,0", 0),
+        ("0,64,64,1", "64,64,0,0", 2),
+        ("0,64,64,0", "64,65,0,0", 2),
+    ])
+    def test_pair_bound(self, left, right, code):
+        proc = run_entry_point("coeff", "--left", left, "--right", right,
+                               "--out", "64,128,64,0", timeout=5)
+        if code:
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert f"sum to {MAX_PAIR_EXPONENTS + 1}, more than" in proc.stderr
+        else:
+            # the leading term: the y's merge, as y^64/64! y^64/64! = C(128, 64) y^128/128!
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{comb(128, 64)}\n", "")
 
     def test_malformed_exponents_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -6,7 +6,7 @@ import copy
 import pickle
 import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +22,7 @@ from uhsl2.expressions import (
     Negate,
     MAX_CAP,
     MAX_NESTING,
+    MAX_PAIR_EXPONENTS,
     ParseError,
     StarProduct,
     Sum,
@@ -377,6 +378,24 @@ class TestEvaluate:
         with pytest.raises(EvalError, match="more than 4 monomial pairs"):
             evaluate(parse("(x + y) * (x + y) + (x + y) * x"))
 
+    def test_pair_bound_at_and_above(self):
+        # b1 + c1 + d1 of the left and a2 + b2 + d2 of the right count; a1
+        # and c2 enter only binomials and do not
+        at = MAX_PAIR_EXPONENTS // 2
+        assert evaluate(parse(f"m(9,{at},0,0) * m(0,{at},9,0)")) == Element(
+            {(9, 2 * at, 9, 0): comb(2 * at, at)})
+        for text in (f"m(0,{at},1,0) * m(0,{at},0,0)",
+                     f"m(0,{at},0,0) * m(0,{at},0,1)",
+                     f"(x + m(0,{at},0,0)) * (y + m({at + 1},0,0,0))"):
+            with pytest.raises(EvalError, match=f"sum to {2 * at + 1}, more than"):
+                evaluate(parse(text))
+
+    @pytest.mark.parametrize("cap", [True, 1.5, "2"])
+    def test_cap_that_is_not_an_int_is_type_error(self, cap):
+        for text in ("x * y", "exp(x)", "1 + h"):
+            with pytest.raises(TypeError):
+                evaluate(parse(text), cap)
+
     def test_exp_inside_sum_requires_cap(self):
         with pytest.raises(EvalError):
             evaluate(parse("x + exp(h)"))
@@ -434,10 +453,22 @@ class TestSerialize:
             '{"cap": null, "terms": {}}',
             '{"cap": "2", "terms": []}',
             '[]',
+            # int() reads each of these, but element_to_json never writes them
+            '{"cap": null, "terms": [{"m": [1, 0, 0, 0], "num": "1_000", "den": "1"}]}',
+            '{"cap": null, "terms": [{"m": [1, 0, 0, 0], "num": "\u0663", "den": "1"}]}',
+            '{"cap": null, "terms": [{"m": [1, 0, 0, 0], "num": " 7 ", "den": "1"}]}',
+            '{"cap": null, "terms": [{"m": [1, 0, 0, 0], "num": "+5", "den": "1"}]}',
+            '{"cap": null, "terms": [{"m": [1, 0, 0, 0], "num": "1", "den": "-4"}]}',
+            '{"cap": null, "terms": [{"m": [1, 0, 0, 0], "num": 5, "den": "1"}]}',
+            '{"cap": null, "terms": [{"m": [1, 0, 0, 0], "num": "1", "den": "1"}, '
+            '{"m": [1, 0, 0, 0], "num": "2", "den": "1"}]}',
+            '{"cap": 1, "terms": [{"m": [1, 1, 0, 0], "num": "1", "den": "1"}]}',
         ],
         ids=["three-exponents", "zero-den", "missing-terms", "missing-num",
              "non-numeric-num", "float-num", "string-exponent", "scalar-m",
-             "string-entry", "terms-not-list", "string-cap", "not-an-object"],
+             "string-entry", "terms-not-list", "string-cap", "not-an-object",
+             "underscore-num", "arabic-indic-num", "padded-num", "plus-num",
+             "negative-den", "int-num", "repeated-m", "above-cap"],
     )
     def test_malformed_json_is_value_error(self, text):
         with pytest.raises(ValueError):

@@ -245,6 +245,18 @@ class TestOracleStar:
         assert oracle == whole == mono_star_mono(m1, m2)
         assert all(type(v) is int for v in oracle.terms.values())
 
+    @pytest.mark.parametrize("slot", range(8))
+    @pytest.mark.parametrize("bad", [-1, True, 1.0, Fraction(1), "1"])
+    def test_checks_exponents_as_the_closed_formula_does(self, slot, bad):
+        pair = [1] * 8
+        pair[slot] = bad
+        m1, m2 = tuple(pair[:4]), tuple(pair[4:])
+        with pytest.raises((TypeError, ValueError)) as closed:
+            mono_star_mono(m1, m2)
+        with pytest.raises(type(closed.value)) as oracle:
+            oracle_star(m1, m2)
+        assert str(oracle.value) == str(closed.value)
+
     def test_a_remainder_stays_a_fraction(self, monkeypatch):
         # a wrong insertion, zx -> xz - 2yh, leaves the plain term -3xyh in
         # z x^2, and the 2! of x^2/2! does not divide it
