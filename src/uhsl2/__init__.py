@@ -40,7 +40,7 @@ from .serialize import element_from_json, element_to_json, pretty
 # name -> the submodule that defines it; the two submodules map to themselves
 _LAZY = {
     "rewrite": "rewrite",
-    **dict.fromkeys(("normalize", "oracle_star", "rewrite_step", "to_element"), "rewrite"),
+    **dict.fromkeys(("normalize", "oracle_star", "to_element"), "rewrite"),
     "species": "species",
     **dict.fromkeys((
         "ColoredSizes",

@@ -36,8 +36,9 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-# verify compares (n + 1)^8 pairs: the 6,561 at n = 2 take about 0.45 s and
-# 16 MB, the 65,536 at n = 3 about 5.5 s and 17 MB
+# verify compares (n + 1)^8 pairs, and a sweep at the bound gets a budget of
+# 5 s of CLI wall time (tier-1 and CI run it).  The 65,536 pairs at n = 3 take
+# 1.6-2.9 s and 17 MB; the 390,625 at n = 4 take 16.7-16.9 s, so n stops at 3
 MAX_VERIFY_EXP = 3
 
 # species deals each distinct block-size key once, so its cost is the profile

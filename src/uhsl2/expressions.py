@@ -174,6 +174,11 @@ class Negate(Expression):
 _PUNCT = "()+-*/,"
 _DIGITS = "0123456789"  # str.isdigit would also take superscripts and other scripts' digits
 MAX_NESTING = 200
+# int() and str() take at most 4,300 decimal digits (CPython's default
+# sys.int_info.default_max_str_digits), so a longer number, in a literal or in
+# m(...), is a parse error rather than an internal one.  The bound leaves room
+# for the sum of a pair's six exponents, which check_pair_exponents prints
+MAX_LITERAL_DIGITS = 4_000
 MAX_CAP = 32
 # one evaluate expands at most this many monomial pairs, summed over its
 # products.  Chains of capped series products run at 0.6-4 us a pair, so the
@@ -290,23 +295,29 @@ class _Parser:
             raise ParseError(f"unknown name {value!r}", pos)
         raise ParseError(f"unexpected {value or 'end of input'!r}", pos)
 
+    def number(self) -> tuple[int, int]:
+        """The next token's natural number and its position."""
+        _, digits, pos = self.take("num")
+        if len(digits) > MAX_LITERAL_DIGITS:
+            raise ParseError(f"a number has more than {MAX_LITERAL_DIGITS} digits", pos)
+        return int(digits), pos
+
     def rational(self) -> Fraction:
-        num = int(self.take("num")[1])
+        num, _ = self.number()
         if self.peek()[0] == "/":
             self.take("/")
-            den_tok = self.take("num")
-            den = int(den_tok[1])
+            den, pos = self.number()
             if den == 0:
-                raise ParseError("zero denominator", den_tok[2])
+                raise ParseError("zero denominator", pos)
             return Fraction(num, den)
         return Fraction(num)
 
     def naturals(self, count: int) -> list[int]:
         self.take("(")
-        out = [int(self.take("num")[1])]
+        out = [self.number()[0]]
         for _ in range(count - 1):
             self.take(",")
-            out.append(int(self.take("num")[1]))
+            out.append(self.number()[0])
         self.take(")")
         return out
 

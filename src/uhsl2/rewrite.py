@@ -12,32 +12,29 @@ inversion count drops by one) or trades a non-H letter for an H (the non-H
 letter count drops), so the pair (#non-H letters, #inversions) decreases
 lexicographically with every step.  With the rules' overlaps resolvable,
 Bergman's diamond lemma (Adv. Math. 29, 1978) makes the normal form
-independent of the order of rewriting; the tests check ``normalize``
-against whole-word rewriting by ``rewrite_step`` in both its orders.
+independent of the order of rewriting, so ``N(u v w) = N(u N(v) w)``; the
+tests check ``normalize`` against whole-word rewriting in both orders.
 
 One core, ``extend``, appends letters one at a time to a sum of normal
 words.  Only the pair at the boundary can be inverted, and its rule outputs
 come straight from ``_RULES``, so this is exactly leftmost-first rewriting.
 A letter that does not invert the boundary pair is appended in place; an
-inverted one goes through the memo.  ``normalize`` extends the empty word.
-``oracle_star`` starts from the plain word of the left factor, which is
-already normal (extending the empty word by it would only ever append in
-place), and extends it by the right factor's X, Y and Z letters.  The right
-factor's H letters are not rewritten at all: H has the top rank, so
-appending one never inverts a pair, and they only add to each final word's
-count of H.
+inverted one goes through the memo of insertions, keyed on (normal word,
+letter).  ``normalize`` extends the empty word.
 
-The memo of insertions, keyed on (normal word, letter), is the only shared
-state.  It lives for the whole process, so a verification sweep pays for
-each insertion once; its keys are normal words, so it holds no intermediate
-word of any rewrite.  Entries are only ever added, never mutated, so
+``oracle_star`` reads two runs of letters that ``extend`` fills, each
+memoized on its exponents, so a verification sweep pays once per key, not
+once per pair; its docstring gives the keys and why they are sound.  The
+insertion memo grows with the distinct normal words met, not with the
+rewrite branches; the run memos are bounded.  All memos live for the whole
+process and hold only normal forms.  Entries are never mutated, so
 concurrent callers at worst compute an entry twice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .algebra import Element, NormalMonomial
 
@@ -45,7 +42,6 @@ FreeWord = str
 WordSum = dict[str, int]
 
 ALPHABET = "XYZH"
-_RANK = {c: i for i, c in enumerate(ALPHABET)}
 # letter -> the endings of a normal word that stay normal with the letter
 # appended: the empty word and each letter of rank at most its own
 _KEEPS_NORMAL = {c: frozenset(("", *ALPHABET[: i + 1])) for i, c in enumerate(ALPHABET)}
@@ -63,29 +59,13 @@ _RULES: dict[str, tuple[tuple[str, int], ...]] = {
 # (normal word, letter) -> normal form of the word with the letter appended
 _MEMO: dict[tuple[FreeWord, str], WordSum] = {}
 
-
-def is_normal(word: FreeWord) -> bool:
-    return all(_RANK[a] <= _RANK[b] for a, b in zip(word, word[1:]))
-
-
-def rewrite_step(word: FreeWord, strategy: str = "leftmost") -> WordSum | None:
-    """Rewrite the leftmost (or rightmost) out-of-order adjacent pair.
-
-    Returns None when the word is already in normal order.
-    """
-    positions = range(len(word) - 1)
-    if strategy == "rightmost":
-        positions = reversed(positions)
-    elif strategy != "leftmost":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    for i in positions:
-        pair = word[i : i + 2]
-        if _RANK[pair[0]] > _RANK[pair[1]]:
-            return {
-                word[:i] + repl + word[i + 2 :]: coeff
-                for repl, coeff in _RULES[pair]
-            }
-    return None
+# oracle_star's runs, as (exponents, coefficient) pairs: (b1, c1, a2) ->
+# N(Y^b1 Z^c1 X^a2) and (c, b2) -> N(Z^c Y^b2).  Exponents up to n meet
+# (n + 1)^3 and (n + 1)^2 keys, 125 and 25 at n = 4; each memo keeps the
+# 1,024 runs it filled last, so every key of exponents up to 9 stays warm.
+RUN_MEMO_BOUND = 1 << 10
+_YZX_RUNS: dict[tuple[int, int, int], tuple] = {}
+_ZY_RUNS: dict[tuple[int, int], tuple] = {}
 
 
 def _known(word: FreeWord, letter: str) -> WordSum | None:
@@ -164,13 +144,8 @@ def extend(total: WordSum, letters: str) -> WordSum:
 
 
 def normalize(word: FreeWord) -> WordSum:
-    """Exhaustively rewrite ``word`` into a combination of normal words.
-
-    The letters are appended left to right to the empty word by ``extend``.
-    Insertions are memoized on (normal word, letter) for the life of the
-    process; the memo grows with the distinct normal words met, not with the
-    rewrite branches.
-    """
+    """Exhaustively rewrite ``word`` into a combination of normal words, by
+    appending its letters to the empty word with ``extend``."""
     return extend({"": 1}, word)
 
 
@@ -185,10 +160,8 @@ def to_element(word_sum: WordSum) -> Element:
         counts = tuple(map(word.count, ALPHABET))
         if word != word_of_monomial(counts):
             raise ValueError(f"word {word!r} is not in normal order")
-        a, b, c, d = counts
         # distinct normal words are distinct monomials
-        terms[NormalMonomial(a, b, c, d)] = (
-            coeff * factorial(a) * factorial(b) * factorial(c) * factorial(d))
+        terms[NormalMonomial(*counts)] = coeff * prod(map(factorial, counts))
     return Element(terms)
 
 
@@ -197,21 +170,38 @@ def word_of_monomial(mono) -> FreeWord:
     return "X" * a + "Y" * b + "Z" * c + "H" * d
 
 
+def _run(memo: dict, key: tuple[int, ...], word: FreeWord, letters: str) -> tuple:
+    """The normal form of the normal ``word`` extended by ``letters``, as
+    (exponents, coefficient) pairs, memoized in ``memo`` under ``key``."""
+    if len(memo) >= RUN_MEMO_BOUND:
+        memo.pop(next(iter(memo)), None)
+    memo[key] = got = tuple((tuple(map(w.count, ALPHABET)), k)
+                            for w, k in extend({word: 1}, letters).items())
+    return got
+
+
 def oracle_star(m1, m2) -> Element:
     """Star product of two divided monomials via plain-word rewriting.
 
-    The rewrite starts from the plain word of ``m1``, which is already
-    normal, and extends it by the X, Y and Z letters of ``m2``.  The H
-    letters of ``m2`` would be concatenated to every resulting word, since H
-    has the top rank and appending it never inverts a pair; so they only add
-    to each word's count of H.  Each normal word's coefficient is scaled to
-    the divided basis and divided by the factorials of the input exponents
-    in one exact divmod: the quotient is an int when the division is exact,
-    and a Fraction when a remainder is left, so a non-integral structure
-    constant still shows.  The exponents are checked as by
-    ``mono_star_mono``, with the same ``TypeError`` and ``ValueError``.
+    The plain word ``X^a1 Y^b1 Z^c1 H^d1 X^a2 Y^b2 Z^c2 H^d2`` is rewritten
+    from two memoized runs: ``N(Y^b1 Z^c1 X^a2)``, keyed (b1, c1, a2), then
+    ``N(Z^c Y^b2)``, keyed (c, b2), for each word ``X^a Y^b Z^c H^d`` of the
+    first; each pair of run words gives ``X^(a1+a) Y^(b+b') Z^(c'+c2)
+    H^(d+d'+d1+d2)``.  By ``N(u v w) = N(u N(v) w)`` this is the normal form
+    of the whole word, since leftmost rewriting never touches a leading run
+    of letters that rank at or below the letter appended (X^a1, then Y^b),
+    H is central with rules of coefficient 1 that make no other letter, and
+    an appended Z (of Z^c2) passes only H.
+
+    Each normal word's coefficient is scaled to the divided basis and
+    divided by the factorials of the input exponents in one exact divmod:
+    an int when the division is exact, a Fraction when a remainder is left,
+    so a non-integral structure constant still shows.  The exponents are
+    checked as by ``mono_star_mono``, with the same ``TypeError`` and
+    ``ValueError``.
     """
     m1, m2 = NormalMonomial(*m1), NormalMonomial(*m2)
+    a1, b1, c1, d1 = m1
     a2, b2, c2, d2 = m2
     den = 1
     for e in m1 + m2:
@@ -220,12 +210,22 @@ def oracle_star(m1, m2) -> Element:
         if e < 0:
             raise ValueError(f"negative exponent in {tuple(m1)} * {tuple(m2)}")
         den *= factorial(e)
-    words = extend({word_of_monomial(m1): 1}, "X" * a2 + "Y" * b2 + "Z" * c2)
+    key, seconds = (b1, c1, a2), _ZY_RUNS
+    first = _YZX_RUNS.get(key) or _run(_YZX_RUNS, key, "Y" * b1 + "Z" * c1, "X" * a2)
+    plain: dict[tuple[int, int, int, int], int] = {}
+    get = plain.get
+    for (a, b, c, d), k in first:
+        a += a1
+        d += d1 + d2
+        key = (c, b2)
+        for (_, y, z, h), j in seconds.get(key) or _run(seconds, key, "Z" * c, "Y" * b2):
+            out = (a, b + y, z + c2, d + h)
+            plain[out] = get(out, 0) + k * j
     terms: dict[NormalMonomial, Fraction | int] = {}
-    for word, coeff in words.items():
-        a, b, c, d = map(word.count, ALPHABET)
-        d += d2
-        num = coeff * factorial(a) * factorial(b) * factorial(c) * factorial(d)
-        quotient, remainder = divmod(num, den)
-        terms[NormalMonomial(a, b, c, d)] = Fraction(num, den) if remainder else quotient
+    for (a, b, c, d), coeff in plain.items():
+        if coeff:
+            num = coeff * factorial(a) * factorial(b) * factorial(c) * factorial(d)
+            quotient, remainder = divmod(num, den)
+            mono = tuple.__new__(NormalMonomial, (a, b, c, d))
+            terms[mono] = Fraction(num, den) if remainder else quotient
     return Element._built(terms)

@@ -24,7 +24,7 @@ each distinct deal is enumerated once and its count kept in a bounded memo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
 from typing import Iterator, NamedTuple, Sequence
@@ -32,6 +32,8 @@ from typing import Iterator, NamedTuple, Sequence
 from .algebra import COLORS, Element, NormalMonomial, star
 
 X, Y, Z, H = range(4)
+# color -> the exponents of its singleton
+_UNIT_EXPONENTS = {c: tuple(int(c == k) for k in COLORS) for c in COLORS}
 
 
 class ColoredSizes(NamedTuple):
@@ -68,9 +70,9 @@ class DividedPower(FunctorSpec):
     c: int
     d: int
 
-    @cached_property
-    def exponents(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+    def __post_init__(self):
+        # set once here, since a cached_property locks on its first access
+        object.__setattr__(self, "exponents", (self.a, self.b, self.c, self.d))
 
     def __str__(self) -> str:
         return f"dp({self.a},{self.b},{self.c},{self.d})"
@@ -88,11 +90,9 @@ class _OneColor(FunctorSpec):
 
 @dataclass(frozen=True)
 class Singleton(_OneColor):
-    @cached_property
-    def exponents(self) -> tuple[int, int, int, int]:
-        out = [0, 0, 0, 0]
-        out[COLORS.index(self.color)] = 1
-        return tuple(out)
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "exponents", _UNIT_EXPONENTS[self.color])
 
     def __str__(self) -> str:
         return self.color

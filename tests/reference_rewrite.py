@@ -1,17 +1,44 @@
 """Whole-word rewriting, the reference for ``uhsl2.rewrite.normalize``.
 
-``reference_normalize`` applies ``rewrite_step`` to whole words until none is
-left, in either of its orders, memoizing every intermediate word it meets.
-The memo is fresh for each call unless the caller passes one in, so the
-reference keeps no state between calls of its own.  A memo shared over many
-calls must be used with one order only.  The library instead appends one
-letter at a time to a normal sum, with a memo keyed on (normal word,
-letter); the two must agree word for word.
+``rewrite_step`` rewrites the leftmost or the rightmost inverted pair of a
+word by the library's rules.  ``reference_normalize`` applies it to whole
+words until none is left, in either order, memoizing every intermediate
+word it meets.  The memo is fresh for each call unless the caller passes one
+in, so the reference keeps no state between calls of its own.  A memo shared
+over many calls must be used with one order only.  The library instead
+appends one letter at a time to a normal sum, with a memo keyed on (normal
+word, letter); the two must agree word for word.
 """
 
 from __future__ import annotations
 
-from uhsl2.rewrite import WordSum, rewrite_step
+from uhsl2.rewrite import _RULES, ALPHABET, FreeWord, WordSum
+
+_RANK = {c: i for i, c in enumerate(ALPHABET)}
+
+
+def is_normal(word: FreeWord) -> bool:
+    return all(_RANK[a] <= _RANK[b] for a, b in zip(word, word[1:]))
+
+
+def rewrite_step(word: FreeWord, strategy: str = "leftmost") -> WordSum | None:
+    """Rewrite the leftmost (or rightmost) out-of-order adjacent pair.
+
+    Returns None when the word is already in normal order.
+    """
+    positions = range(len(word) - 1)
+    if strategy == "rightmost":
+        positions = reversed(positions)
+    elif strategy != "leftmost":
+        raise ValueError(f"unknown strategy {strategy!r}")
+    for i in positions:
+        pair = word[i : i + 2]
+        if _RANK[pair[0]] > _RANK[pair[1]]:
+            return {
+                word[:i] + repl + word[i + 2 :]: coeff
+                for repl, coeff in _RULES[pair]
+            }
+    return None
 
 
 def reference_normalize(word: str, strategy: str = "leftmost",

@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 from pathlib import Path
 
@@ -20,7 +21,8 @@ import uhsl2
 from uhsl2 import cli, rewrite, species
 from uhsl2.algebra import Element
 from uhsl2.cli import main
-from uhsl2.expressions import MAX_CAP, MAX_PAIR_EXPONENTS, MAX_PAIRS, evaluate, parse
+from uhsl2.expressions import (MAX_CAP, MAX_LITERAL_DIGITS, MAX_PAIR_EXPONENTS, MAX_PAIRS,
+                               evaluate, parse)
 from uhsl2.serialize import element_from_json, element_to_json
 
 
@@ -124,6 +126,22 @@ class TestStarCommand:
         proc = run_entry_point("star", "--expr", expr, "--cap", "2")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "parse error" in proc.stderr
+
+    @pytest.mark.parametrize("template, digit, at", [("{} * x", "7", 0),
+                                                     ("m({},0,0,0)", "1", 2)])
+    @pytest.mark.parametrize("extra", [0, 1, 400])
+    def test_number_digit_bound(self, template, digit, at, extra):
+        # over the bound, and at 4,400 digits, int() would refuse the number
+        # with a ValueError; the parser refuses it first
+        number = digit * (MAX_LITERAL_DIGITS + extra)
+        proc = run_entry_point("star", "--expr", template.format(number), timeout=5)
+        if not extra:
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout.startswith(number if digit == "7" else f"x^{number} / ")
+            return
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"parse error: a number has more than {MAX_LITERAL_DIGITS} "
+                               f"digits (at position {at})\n")
 
     def test_huge_cap_is_usage_error(self):
         # the cap is checked before anything is allocated
@@ -294,6 +312,21 @@ class TestVerifyCommand:
         assert code == 1
         assert "MISMATCH (1, 0, 1, 0) * (1, 1, 0, 0)\n" in out
         assert "256 monomial pairs with exponents <= 1: 1 mismatches" in out
+
+    def test_wrong_run_memo_entry_is_a_mismatch(self, capsys, monkeypatch):
+        # plant N(Z X) = XZ - 2YH (it is XZ - YH) as the run of (b1, c1, a2) =
+        # (0, 1, 1); every pair that reads that run, and only those, mismatch
+        wrong = (((1, 0, 1, 0), 1), ((0, 1, 0, 1), -2))
+        monkeypatch.setattr(rewrite, "_YZX_RUNS", {(0, 1, 1): wrong})
+        code, out, _ = run(capsys, "verify", "--max-exp", "1")
+        assert code == 1
+        assert "MISMATCH (0, 0, 1, 0) * (1, 0, 0, 0)\n" in out
+        monos = list(product((0, 1), repeat=4))
+        expected = [f"MISMATCH {m1} * {m2}" for m1 in monos for m2 in monos
+                    if (m1[1], m1[2], m2[0]) == (0, 1, 1)]
+        assert out.splitlines() == expected + [
+            "verified 256 monomial pairs with exponents <= 1: "
+            "32 mismatches, 0 integrality violations"]
 
     def test_non_integral_coefficient_exits_1(self, capsys, monkeypatch):
         real = rewrite.oracle_star

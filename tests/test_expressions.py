@@ -21,6 +21,7 @@ from uhsl2.expressions import (
     Literal,
     Negate,
     MAX_CAP,
+    MAX_LITERAL_DIGITS,
     MAX_NESTING,
     MAX_PAIR_EXPONENTS,
     ParseError,
@@ -87,6 +88,22 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert err.value.position >= 0
+
+    @pytest.mark.parametrize("template, at, tree", [
+        ("{} * x", 0, lambda n: StarProduct((Literal(n), Generator("x")))),
+        ("2/{}", 2, lambda n: Literal(Fraction(2, n))),
+        ("m({},0,0,0)", 2, lambda n: DividedMono(n, 0, 0, 0)),
+        ("m(0,0,0,{})", 8, lambda n: DividedMono(0, 0, 0, n)),
+    ])
+    def test_number_digit_bound(self, template, at, tree):
+        # int() would refuse a number of more than 4,300 digits; the parser
+        # refuses one above its own bound first
+        digits = "7" * MAX_LITERAL_DIGITS
+        assert parse(template.format(digits)) == tree(int(digits))
+        with pytest.raises(ParseError) as err:
+            parse(template.format(digits + "7"))
+        assert str(err.value) == (f"a number has more than {MAX_LITERAL_DIGITS} digits "
+                                  f"(at position {at})")
 
     def test_nesting_up_to_the_bound_evaluates(self):
         n = MAX_NESTING

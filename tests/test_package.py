@@ -13,7 +13,8 @@ import pytest
 import uhsl2
 
 # every public name of the package, as `dir(uhsl2)` listed them when all
-# routes were imported eagerly
+# routes were imported eagerly, less those since moved to tests/ (README's
+# table of removed names)
 EXPORTED = (
     "ColoredSizes", "DividedPower", "Element", "EvalError", "Exponential",
     "FunctorSpec", "IntegralityViolation", "NormalMonomial", "ParseError",
@@ -21,10 +22,10 @@ EXPORTED = (
     "element_from_json", "element_to_json", "elementary_symmetric", "evaluate",
     "exp_series", "expressions", "falling_factorial", "mono_star_mono",
     "normal_order_yx", "normal_order_zx", "normal_order_zy", "normalize",
-    "oracle_star", "parse", "pochhammer_k", "pretty", "rewrite", "rewrite_step",
-    "serialize", "shifted_elem", "species", "species_coefficient_check",
-    "species_element", "star", "star_species", "structural_coefficient",
-    "to_element", "to_text", "valuation_element", "vam3_lhs", "vam3_rhs",
+    "oracle_star", "parse", "pochhammer_k", "pretty", "rewrite", "serialize",
+    "shifted_elem", "species", "species_coefficient_check", "species_element",
+    "star", "star_species", "structural_coefficient", "to_element", "to_text",
+    "valuation_element", "vam3_lhs", "vam3_rhs",
 )
 
 

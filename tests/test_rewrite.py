@@ -11,19 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_rewrite import reference_normalize
+from reference_rewrite import is_normal, reference_normalize, rewrite_step
 from uhsl2 import rewrite
 from uhsl2.algebra import Element, mono_star_mono
-from uhsl2.rewrite import (
-    ALPHABET,
-    extend,
-    is_normal,
-    normalize,
-    oracle_star,
-    rewrite_step,
-    to_element,
-    word_of_monomial,
-)
+from uhsl2.rewrite import ALPHABET, extend, normalize, oracle_star, to_element, word_of_monomial
 
 words = st.text(alphabet=ALPHABET, max_size=8)
 monomials = st.tuples(*[st.integers(0, 3)] * 4)
@@ -245,6 +236,30 @@ class TestOracleStar:
         assert oracle == whole == mono_star_mono(m1, m2)
         assert all(type(v) is int for v in oracle.terms.values())
 
+    @settings(deadline=None, max_examples=30)
+    @given(st.tuples(*[st.integers(0, 5)] * 4), st.tuples(*[st.integers(0, 5)] * 4))
+    def test_equals_whole_word_rewriting_up_to_five(self, m1, m2):
+        # past the exponents of the sweeps; the costliest pair, with every
+        # exponent 5, takes the reference about 0.4 s, and 30 examples 0.2-0.5 s
+        plain = reference_normalize(word_of_monomial(m1) + word_of_monomial(m2))
+        den = prod(map(factorial, (*m1, *m2)))
+        assert oracle_star(m1, m2) == Element(
+            {mono: Fraction(v, den) for mono, v in to_element(plain).terms.items()})
+
+    def test_run_memos_are_bounded(self, monkeypatch):
+        # a run memo keeps the RUN_MEMO_BOUND = 1,024 runs it filled last:
+        # enough for the 1,000 keys (b1, c1, a2) of exponents up to 9.  Under
+        # a bound of 8, the 27 first keys of exponents up to 2 cycle through
+        # it and each product stays right
+        assert rewrite.RUN_MEMO_BOUND == 1024
+        monkeypatch.setattr(rewrite, "RUN_MEMO_BOUND", 8)
+        monkeypatch.setattr(rewrite, "_YZX_RUNS", {})
+        monkeypatch.setattr(rewrite, "_ZY_RUNS", {})
+        monos = list(product(range(3), repeat=4))
+        for m1, m2 in product(monos, repeat=2):
+            assert oracle_star(m1, m2) == mono_star_mono(m1, m2)
+            assert len(rewrite._YZX_RUNS) <= 8 and len(rewrite._ZY_RUNS) <= 8
+
     @pytest.mark.parametrize("slot", range(8))
     @pytest.mark.parametrize("bad", [-1, True, 1.0, Fraction(1), "1"])
     def test_checks_exponents_as_the_closed_formula_does(self, slot, bad):
@@ -259,8 +274,11 @@ class TestOracleStar:
 
     def test_a_remainder_stays_a_fraction(self, monkeypatch):
         # a wrong insertion, zx -> xz - 2yh, leaves the plain term -3xyh in
-        # z x^2, and the 2! of x^2/2! does not divide it
+        # z x^2, and the 2! of x^2/2! does not divide it; the run memos start
+        # empty, so the runs are filled through the wrong insertion
         monkeypatch.setattr(rewrite, "_MEMO", {("Z", "X"): {"XZ": 1, "YH": -2}})
+        monkeypatch.setattr(rewrite, "_YZX_RUNS", {})
+        monkeypatch.setattr(rewrite, "_ZY_RUNS", {})
         result = oracle_star((0, 0, 1, 0), (2, 0, 0, 0))
         assert result.terms == {(2, 0, 1, 0): 1, (1, 1, 0, 1): Fraction(-3, 2),
                                 (1, 0, 0, 2): -4}

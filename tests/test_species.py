@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from itertools import product
 from math import comb, factorial, prod
 
@@ -66,6 +67,19 @@ class TestFunctorValue:
             for slot in range(4):
                 for limit in range(3):
                     assert single.slot_sizes(slot, limit) == divided.slot_sizes(slot, limit)
+
+    def test_exponents_are_set_when_built(self):
+        # a plain attribute, not a cached_property (which locks on first
+        # access); the fields, and so ==, hash and repr, are unchanged
+        for spec, exponents, text in ((DividedPower(1, 2, 3, 4), (1, 2, 3, 4),
+                                       "DividedPower(a=1, b=2, c=3, d=4)"),
+                                      (Singleton("z"), (0, 0, 1, 0), "Singleton(color='z')")):
+            assert vars(spec)["exponents"] == exponents
+            assert repr(spec) == text
+            twin = type(spec)(*(getattr(spec, f.name) for f in fields(spec)))
+            assert twin == spec and hash(twin) == hash(spec)
+        assert [f.name for f in fields(DividedPower)] == ["a", "b", "c", "d"]
+        assert [f.name for f in fields(Singleton)] == ["color"]
 
     @pytest.mark.parametrize("kind", [Singleton, Exponential])
     @pytest.mark.parametrize("color", ["xy", "", "X", "exp(x)", 0])
