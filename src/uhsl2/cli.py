@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING
 from . import algebra
 from .algebra import COLORS, mono_star_mono, normal_order_zx, star
 from .combinatorics import shifted_elem, vam3_lhs, vam3_rhs
-from .expressions import EvalError, ParseError, check_pair_exponents, evaluate, parse
+from .expressions import (EvalError, ParseError, check_output_digits, check_pair_exponents,
+                          evaluate, parse)
 from .serialize import element_to_json, pretty
 
 if TYPE_CHECKING:
@@ -87,12 +88,12 @@ def _functor(text: str) -> FunctorSpec:
 
 def cmd_star(args) -> int:
     try:
-        expression = parse(args.expr)
+        # nothing holds the syntax tree once evaluate returns
+        element = evaluate(parse(args.expr), args.cap)
+        check_output_digits(element)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        element = evaluate(expression, args.cap)
     except EvalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,14 +13,25 @@ Grammar (infix, left associative):
 '*' is the star product and is mandatory (juxtaposition is nothing);
 ``m(a,b,c,d)`` is the divided monomial.  Numbers are runs of the ASCII
 digits 0-9 (no other script's digits, no superscripts); rationals are integers
-or ``num/den``.  ``exp(...)`` only evaluates under an explicit degree cap, and
-``evaluate`` accepts caps up to ``MAX_CAP`` and expands at most ``MAX_PAIRS``
-monomial pairs over all its products.  ``Sum`` and ``StarProduct`` are
-n-ary (``a * b * c`` is one node of three factors), so parse, print and
-evaluate loop over operands and recurse only at parentheses and unary minus.
-Those nest at most ``MAX_NESTING`` deep; deeper input is a ``ParseError``,
-before any recursion can reach the interpreter's limit.  ``repr``, ``==``
-and ``hash`` read a tree from one walk with an explicit stack, at any depth.
+or ``num/den``.  ``parse`` first checks every character in one pass, so the
+first character outside the grammar's alphabet is reported wherever it
+stands, even after a grammar error.  The parser then reads the tokens from a
+generator with one token of lookahead, so a long text costs it the tree and
+not a list of tokens.
+
+``exp(...)`` only evaluates under an explicit degree cap, and ``evaluate``
+accepts caps up to ``MAX_CAP`` and expands at most ``MAX_PAIRS`` monomial
+pairs over all its products.  A product with a scalar factor, one that holds
+only the unit monomial, scales the other factor without the kernel; it gives
+the terms and coefficient types ``star`` gives, and counts its pairs as any
+other product does.  ``Sum`` and ``StarProduct`` are n-ary (``a * b * c`` is
+one node of three factors), so parse, print and evaluate loop over operands
+and recurse only at parentheses and unary minus.  Those nest at most
+``MAX_NESTING`` deep; deeper input is a ``ParseError``, before any recursion
+can reach the interpreter's limit.  ``check_output_digits`` refuses a result
+with a numerator or a denominator of more than ``MAX_OUTPUT_DIGITS`` digits,
+which ``str`` would not print.  ``repr``, ``==`` and ``hash`` read a tree from
+one walk with an explicit stack, at any depth.
 The node classes are plain immutable classes with ``__slots__`` and a
 ``_fields`` tuple, not dataclasses, so that a ``uhsl2 star`` process does not
 import ``dataclasses`` and ``inspect`` to start.
@@ -28,9 +39,12 @@ import ``dataclasses`` and ``inspect`` to start.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Iterator
 from fractions import Fraction
+from math import lcm
 
-from .algebra import COLORS, Element, NormalMonomial, exp_series
+from .algebra import COLORS, UNIT, Element, NormalMonomial, exp_series, star
 
 
 class ParseError(ValueError):
@@ -173,12 +187,22 @@ class Negate(Expression):
 
 _PUNCT = "()+-*/,"
 _DIGITS = "0123456789"  # str.isdigit would also take superscripts and other scripts' digits
+# every character of an expression is whitespace, a mark of _PUNCT, a digit
+# of _DIGITS or a letter (str.isalpha).  The pattern finds the characters
+# outside the ASCII part of that alphabet, and _check_characters keeps the
+# whitespace and the letters among them
+_OUTSIDE_ASCII_ALPHABET = re.compile("[^%sA-Za-z \t\n\r\f\v]" % re.escape(_PUNCT + _DIGITS))
 MAX_NESTING = 200
 # int() and str() take at most 4,300 decimal digits (CPython's default
 # sys.int_info.default_max_str_digits), so a longer number, in a literal or in
 # m(...), is a parse error rather than an internal one.  The bound leaves room
 # for the sum of a pair's six exponents, which check_pair_exponents prints
 MAX_LITERAL_DIGITS = 4_000
+# str() refuses the same ints when the star command prints a result, so the
+# command refuses an element with a numerator or a denominator of more digits
+# than this.  The 1,500-factor chain x * ... * x, whose coefficient 1500! has
+# 4,115 digits, still prints
+MAX_OUTPUT_DIGITS = 4_300
 MAX_CAP = 32
 # one evaluate expands at most this many monomial pairs, summed over its
 # products.  Chains of capped series products run at 0.6-4 us a pair, so the
@@ -196,74 +220,84 @@ MAX_PAIRS = 100_000
 MAX_PAIR_EXPONENTS = 256
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
+def _check_characters(text: str) -> None:
+    """Raise ``ParseError`` at the first character that is not whitespace,
+    a mark of ``_PUNCT``, an ASCII digit or a letter.  ``parse`` runs this over the
+    whole text before it reads a token, so such a character is reported even
+    after a grammar error."""
+    for hit in _OUTSIDE_ASCII_ALPHABET.finditer(text):
+        ch = hit.group()
+        if not (ch.isspace() or ch.isalpha()):
+            raise ParseError(f"unexpected character {ch!r}", hit.start())
+
+
+def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
+    """Yield (kind, text, position) for each token of a text that passed
+    ``_check_characters``, then ("end", "", len(text)).  A mark is its own
+    kind; a run of ASCII digits is a "num" and a run of letters a "name"."""
+    i, n = 0, len(text)
+    while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _PUNCT:
-            tokens.append((ch, ch, i))
+        if ch in _PUNCT:
+            yield ch, ch, i
             i += 1
         elif ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
+            j = i + 1
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("num", text[i:j], i))
+            yield "num", text[i:j], i
             i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
+        elif ch.isspace():
+            i += 1
+        else:  # a letter, as the text passed _check_characters
+            j = i + 1
+            while j < n and text[j].isalpha():
                 j += 1
-            tokens.append(("name", text[i:j], i))
+            yield "name", text[i:j], i
             i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", len(text)))
-    return tokens
+    yield "end", "", n
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+    """Recursive descent over a token iterator, one token of lookahead."""
+
+    def __init__(self, tokens: Iterator[tuple[str, str, int]]):
+        self.tokens = tokens
+        self.tok = next(tokens)
         self.depth = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
     def take(self, kind: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        self.pos += 1
+        # the token stream ends with "end", which no rule takes
+        self.tok = next(self.tokens)
         return tok
 
     def parse(self) -> Expression:
         node = self.expr()
-        tok = self.peek()
+        tok = self.tok
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
         return node
 
     def expr(self) -> Expression:
         terms = [self.term()]
-        while self.peek()[0] in "+-":
-            op = self.take(self.peek()[0])
+        while self.tok[0] in "+-":
+            op = self.take(self.tok[0])
             right = self.term()
             terms.append(Negate(right) if op[0] == "-" else right)
         return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
 
     def term(self) -> Expression:
         factors = [self.factor()]
-        while self.peek()[0] == "*":
+        while self.tok[0] == "*":
             self.take("*")
             factors.append(self.factor())
         return StarProduct(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def factor(self) -> Expression:
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tok
         if kind in ("-", "("):
             self.take(kind)
             self.depth += 1
@@ -304,7 +338,7 @@ class _Parser:
 
     def rational(self) -> Fraction:
         num, _ = self.number()
-        if self.peek()[0] == "/":
+        if self.tok[0] == "/":
             self.take("/")
             den, pos = self.number()
             if den == 0:
@@ -323,7 +357,8 @@ class _Parser:
 
 
 def parse(text: str) -> Expression:
-    return _Parser(text).parse()
+    _check_characters(text)
+    return _Parser(_tokenize(text)).parse()
 
 
 def to_text(node: Expression) -> str:
@@ -362,6 +397,17 @@ def _factor_text(node: Expression) -> str:
     return f"({to_text(node)})"
 
 
+def check_output_digits(element: Element) -> None:
+    """Raise ``EvalError`` when a coefficient of ``element`` has a numerator
+    or a denominator of more than ``MAX_OUTPUT_DIGITS`` digits."""
+    # compared with a power of ten: str() itself would refuse such a number
+    limit = 10 ** MAX_OUTPUT_DIGITS
+    for v in element.terms.values():
+        if not -limit < v.numerator < limit or v.denominator >= limit:
+            raise EvalError(f"a coefficient has more than {MAX_OUTPUT_DIGITS} digits "
+                            f"in its numerator or denominator")
+
+
 def check_pair_exponents(left, right) -> None:
     """Raise ``EvalError`` when a monomial of ``left`` and one of ``right``
     make a pair above ``MAX_PAIR_EXPONENTS``: when the largest b + c + d on
@@ -385,6 +431,19 @@ def evaluate(node: Expression, cap: int | None = None) -> Element:
     if cap is not None and not 0 <= cap <= MAX_CAP:
         raise EvalError(f"degree cap must be a natural number at most {MAX_CAP}")
     return _evaluate(node, cap, [MAX_PAIRS])
+
+
+def _scaled(f: Element, scalar: Fraction | int) -> Element:
+    """``f`` times a scalar, as ``star`` gives a product with ``scalar`` times
+    the unit: every coefficient is an ``int`` when ``scalar`` and all of
+    ``f``'s coefficients are integral, and a ``Fraction`` otherwise."""
+    num = scalar.numerator
+    den_f = lcm(*(v.denominator for v in f.terms.values()))
+    den = scalar.denominator * den_f
+    if den == 1:
+        return Element._built({m: num * v.numerator for m, v in f.terms.items()}, f.cap)
+    return Element._built({m: Fraction(num * v.numerator * (den_f // v.denominator), den)
+                           for m, v in f.terms.items()}, f.cap)
 
 
 def _evaluate(node: Expression, cap: int | None, budget: list[int]) -> Element:
@@ -417,7 +476,12 @@ def _evaluate(node: Expression, cap: int | None, budget: list[int]) -> Element:
                 raise EvalError(f"the products expand more than {MAX_PAIRS} "
                                 f"monomial pairs")
             check_pair_exponents(product.terms, right.terms)
-            product = product * right
+            if UNIT in right.terms and len(right.terms) == 1:
+                product = _scaled(product, right.terms[UNIT])
+            elif UNIT in product.terms and len(product.terms) == 1:
+                product = _scaled(right, product.terms[UNIT])
+            else:
+                product = star(product, right)
         return product
     if isinstance(node, Negate):
         return -_evaluate(node.operand, cap, budget)

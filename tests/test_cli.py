@@ -21,8 +21,8 @@ import uhsl2
 from uhsl2 import cli, rewrite, species
 from uhsl2.algebra import Element
 from uhsl2.cli import main
-from uhsl2.expressions import (MAX_CAP, MAX_LITERAL_DIGITS, MAX_PAIR_EXPONENTS, MAX_PAIRS,
-                               evaluate, parse)
+from uhsl2.expressions import (MAX_CAP, MAX_LITERAL_DIGITS, MAX_OUTPUT_DIGITS,
+                               MAX_PAIR_EXPONENTS, MAX_PAIRS, evaluate, parse)
 from uhsl2.serialize import element_from_json, element_to_json
 
 
@@ -116,6 +116,10 @@ class TestStarCommand:
         assert (code, err) == (0, "")
         assert out.strip() == element_to_json(
             Element.monomial((1500, 0, 0, 0), factorial(1500)))
+        # 1500! has 4,115 digits, under the output bound
+        code, out, err = run(capsys, "star", "--expr", " * ".join(["x"] * 1500))
+        assert (code, err) == (0, "")
+        assert out == f"{factorial(1500)} x^1500 / (1500!)\n"
 
     def test_entry_point(self):
         proc = run_entry_point("star", "--expr", "y * x")
@@ -142,6 +146,40 @@ class TestStarCommand:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (f"parse error: a number has more than {MAX_LITERAL_DIGITS} "
                                f"digits (at position {at})\n")
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("part", ["num", "den"])
+    def test_output_digit_bound(self, part, extra):
+        # str() refuses an int of more than 4,300 digits, so an element with
+        # such a coefficient exited 3; the command refuses it before printing
+        half = MAX_OUTPUT_DIGITS // 2
+        # (10^half - 1)^2 has 2 * half digits, and 10^(2 * half) one more
+        factor = "1" + "0" * half if extra else "9" * half
+        factor = factor if part == "num" else "1/" + factor
+        for fmt in ("json", "pretty"):
+            proc = run_entry_point("star", "--expr", f"{factor} * {factor}", "--format", fmt,
+                                   timeout=5)
+            if extra:
+                assert (proc.returncode, proc.stdout) == (2, "")
+                assert proc.stderr == (f"error: a coefficient has more than {MAX_OUTPUT_DIGITS} "
+                                       f"digits in its numerator or denominator\n")
+                continue
+            assert (proc.returncode, proc.stderr) == (0, "")
+            value = Fraction(int(factor.split("/")[-1]) ** 2)
+            value = value if part == "num" else 1 / value
+            if fmt == "json":
+                assert element_from_json(proc.stdout) == Element({(0, 0, 0, 0): value})
+            else:
+                assert proc.stdout == f"{value}\n"
+
+    @pytest.mark.parametrize("expr", [" * ".join(["x"] * 1700),
+                                      "7" * 2200 + " * " + "7" * 2200],
+                             ids=["chain-of-1700-x", "two-2200-digit-literals"])
+    def test_big_coefficients_are_usage_errors(self, expr):
+        # 1700! has 4,756 digits and the product of the two literals 4,400
+        proc = run_entry_point("star", "--expr", expr, timeout=5)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"error: a coefficient has more than {MAX_OUTPUT_DIGITS}")
 
     def test_huge_cap_is_usage_error(self):
         # the cap is checked before anything is allocated
@@ -206,6 +244,8 @@ class TestStarCommand:
         ("x + ³/2", "³", 4),
         ("m(1,2,3,٣)", "٣", 8),
         ("1/０", "０", 2),
+        # reported even after a grammar error, "unexpected 'y'"
+        ("x y ²", "²", 4),
     ])
     def test_non_ascii_digits_are_parse_errors(self, expr, char, position):
         # str.isdigit accepts these, but int() rejects the superscripts and

@@ -4,19 +4,26 @@ from __future__ import annotations
 
 import copy
 import pickle
+import random
 import sys
+import tracemalloc
+import unicodedata
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uhsl2.algebra import Element
+from reference_tokenize import reference_parse, reference_tokenize
+from uhsl2 import algebra
+from uhsl2.algebra import UNIT, Element, star
 from uhsl2.expressions import (
     DividedMono,
     EvalError,
     Exp,
+    Expression,
     Generator,
     Literal,
     Negate,
@@ -24,9 +31,11 @@ from uhsl2.expressions import (
     MAX_LITERAL_DIGITS,
     MAX_NESTING,
     MAX_PAIR_EXPONENTS,
+    MAX_PAIRS,
     ParseError,
     StarProduct,
     Sum,
+    _tokenize,
     evaluate,
     parse,
     to_text,
@@ -499,3 +508,175 @@ class TestSerialize:
         assert pretty(Element({})) == "0"
         assert pretty(Element.unit()) == "1"
         assert pretty(Element({(0, 0, 0, 0): Fraction(3, 2)})) == "3/2"
+
+
+def _outcome(parse_text, text):
+    """The tree a parser gives for text, or the text of its ParseError."""
+    try:
+        return parse_text(text)
+    except ParseError as err:
+        return f"ParseError: {err}"
+
+
+# the characters whose first code point stands for all code points of the same
+# Unicode category and the same answers to these str predicates; every one of
+# the first 256 code points also stands for itself
+_PREDICATES = (str.isspace, str.isalpha, str.isdigit, str.isnumeric, str.isidentifier)
+
+
+class TestTokenizerParity:
+    """parse checks every character before it reads a token, so it reports
+    the same first error as tokenizing the whole text and then parsing."""
+
+    def test_every_code_point(self):
+        # parse reports only the first rejected character, and one call per
+        # rejected code point would cost seconds; so every accepted code point
+        # is checked in bulk, and the rejected ones by the characters standing
+        # for their class
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        keys = zip(map(unicodedata.category, every), *(map(p, every) for p in _PREDICATES))
+        stand_ins = set(dict(zip(keys, every)).values()) | set(every[:256])
+        for ch in stand_ins:
+            for text in (ch, "x y " + ch):
+                assert _outcome(parse, text) == _outcome(reference_parse, text)
+        accepted = "".join(ch for ch in every if ch.isspace() or ch.isalpha())
+        assert _outcome(parse, "x y " + accepted) == _outcome(reference_parse, "x y " + accepted)
+        assert _outcome(parse, "x y " + accepted) == "ParseError: unexpected 'y' (at position 2)"
+        spaced = " ".join(accepted)
+        assert list(_tokenize(spaced)) == reference_tokenize(spaced)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from([
+        "x", "y", "z", "h", "m", "exp", "q", "(", ")", "+", "-", "*", "/", ",",
+        "0", "7", "12", " ", "\u00a0", "\u2003", "\u00e9", "\u0663", "\u00b2", "\u00bd", "_",
+    ]), max_size=24).map("".join))
+    def test_same_tree_or_first_error(self, text):
+        assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+def _tree_of(f: Element) -> Expression:
+    """A tree that evaluates to f under f's cap, with f's coefficient types:
+    an integral Fraction v is written as (v - 1/2) + 1/2."""
+    terms = []
+    for (a, b, c, d), v in f.terms.items():
+        half = Fraction(1, 2)
+        parts = [v - half, half] if type(v) is Fraction and v.denominator == 1 else [v]
+        terms += [StarProduct((Literal(part), DividedMono(a, b, c, d))) for part in parts]
+    return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
+
+
+_EXPONENTS_TO_2 = [(a, b, c, d) for a in range(3) for b in range(3) for c in range(3)
+                   for d in range(3)]
+
+
+def _random_element(rng, cap):
+    """One to four terms with nonzero int, Fraction or integral-Fraction
+    coefficients, on monomials of exponents at most 2 and within the cap."""
+    def nonzero():
+        return rng.choice([-1, 1]) * rng.randint(1, 6)
+
+    coefficients = [nonzero, lambda: Fraction(nonzero(), rng.randint(2, 4)),
+                    lambda: Fraction(nonzero())]
+    kinds = rng.sample(coefficients, rng.randint(1, 3))
+    monos = [m for m in _EXPONENTS_TO_2 if cap is None or sum(m) <= cap]
+    return Element({rng.choice(monos): rng.choice(kinds)() for _ in range(rng.randint(1, 4))},
+                   cap)
+
+
+def _typed(f: Element) -> dict:
+    return {mono: (type(v), v) for mono, v in f.terms.items()}
+
+
+class TestScalarFactors:
+    """evaluate scales a factor by a scalar without star, and must give what
+    star gives: the same terms, cap and coefficient types."""
+
+    SCALARS = [1, -1, 3, -2, Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3),
+               Fraction(4, 2)]
+
+    @pytest.mark.parametrize("cap", [None, *range(MAX_CAP + 1)])
+    def test_products_with_a_scalar_are_star_products(self, cap):
+        rng = random.Random(cap)
+        for _ in range(12):
+            f, g = _random_element(rng, cap), _random_element(rng, cap)
+            assert _typed(evaluate(_tree_of(f), cap)) == _typed(f)
+            scalar = rng.choice(self.SCALARS)
+            c = Literal(scalar)
+            unit = Element({UNIT: scalar}, cap)
+            for factors, elements in [
+                ((c, _tree_of(f)), (unit, f)),
+                ((_tree_of(f), c), (f, unit)),
+                ((c, _tree_of(f), _tree_of(g)), (unit, f, g)),
+                ((_tree_of(f), c, _tree_of(g)), (f, unit, g)),
+                ((_tree_of(f), _tree_of(g), c), (f, g, unit)),
+                ((c, Literal(rng.choice(self.SCALARS))), None),
+            ]:
+                if elements is None:
+                    elements = [evaluate(node, cap) for node in factors]
+                got = evaluate(StarProduct(factors), cap)
+                expected = reduce(star, elements)
+                assert _typed(got) == _typed(expected)
+                assert got.cap == expected.cap == cap
+
+    def test_an_integral_scalar_gives_ints(self):
+        # Element.scale would give Fraction(2) here, where star gives 2
+        for text in ("2 * m(1,0,0,0)", "m(1,0,0,0) * 2", "4/2 * x * y"):
+            assert all(type(v) is int for v in evaluate(parse(text)).terms.values())
+        assert _typed(evaluate(parse("1/2 * (x + 2 * y)"))) == {
+            (1, 0, 0, 0): (Fraction, Fraction(1, 2)), (0, 1, 0, 0): (Fraction, Fraction(1))}
+
+    @pytest.mark.parametrize("text", ["3 * (x + y) * (x + h)", "(x + y) * 3 * (x + h)",
+                                      "(x + y) * (x + h) * 3", "2 * 3 * (x + y)"])
+    def test_pair_budget_refuses_at_the_same_product(self, monkeypatch, text):
+        # each product counts its pairs before it runs, scalar or not: with the
+        # budget one short of a product's running total, the refusal comes
+        # after exactly the products before it have passed their checks
+        node = parse(text)
+        sizes = [len(evaluate(factor).terms) for factor in node.factors]
+        totals, size = [], sizes[0]
+        for right in sizes[1:]:
+            totals.append((totals or [0])[-1] + size * right)
+            size = len(evaluate(StarProduct(node.factors[:len(totals) + 1])).terms)
+        checked = []
+        monkeypatch.setattr("uhsl2.expressions.check_pair_exponents",
+                            lambda left, right: checked.append(right))
+        for index, total in enumerate(totals):
+            monkeypatch.setattr("uhsl2.expressions.MAX_PAIRS", total - 1)
+            checked.clear()
+            with pytest.raises(EvalError, match=f"more than {total - 1} monomial pairs"):
+                evaluate(node)
+            assert len(checked) == index
+        monkeypatch.setattr("uhsl2.expressions.MAX_PAIRS", totals[-1])
+        evaluate(node)
+
+
+def _long_sum(terms: int, seed: int) -> str:
+    """A flat sum shaped like the long requests of the cli_expr benchmark."""
+    rng = random.Random(seed)
+    return " + ".join("{}/{}*m({},{},{},{})".format(
+        rng.randint(1, 9), rng.randint(1, 9), *(rng.randint(0, 4) for _ in range(4)))
+        for _ in range(terms))
+
+
+class TestLongSumMemory:
+    # on this sum, tokenizing the whole text first kept 30,000 token tuples
+    # and peaked at 3.6 MB; the tree alone is about 0.5 MB
+    PARSE_PEAK_BYTES = 1_500_000
+
+    def test_parse_peak_is_about_the_tree(self):
+        text = _long_sum(2000, seed=2000)
+        tracemalloc.start()
+        try:
+            node = parse(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(node.terms) == 2000
+        assert peak < self.PARSE_PEAK_BYTES
+
+    def test_scalar_terms_leave_the_kernel_memo_alone(self):
+        node = parse(_long_sum(2000, seed=2001))
+        algebra._mono_star.cache_clear()
+        evaluate(node)
+        info = algebra._mono_star.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (0, 0, 0)
