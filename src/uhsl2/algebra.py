@@ -14,12 +14,16 @@ coefficient lists.  The literal 13-index sum is kept as the test reference in
 products are always integers; the kernel checks that each of its divisions
 is exact, so it returns only ints.  ``mono_star_mono`` checks its two inputs
 and wraps the kernel's fresh result without a second check.
-``star`` extends the kernel bilinearly in exact integers: it brings
-each factor over the least common denominator of its coefficients, sums the
-integer products of numerators and kernel coefficients, and divides each
-output coefficient once by the product of the two denominators.  ``star`` is
-the kernel memo's one caller, and the memo keeps the products of the last
-16,384 pairs.
+
+``star`` extends the product bilinearly in exact integers, in the ordinary
+basis x^a y^b z^c h^d.  There m1 * m2 = x^a1 h^(d1 + d2) N(y^b1 z^c1 x^a2
+y^b2) z^c2: only the middle word does any work, and the passive letters add
+to its exponents with coefficient 1.  ``star`` groups f's terms by (b1, c1)
+and g's by (a2, b2), and reads one middle product per pair of groups from
+the kernel's weight rows, with no division.  It is the kernel memo's one
+caller, and the memo keeps the last 2,048 middles, keyed (b1, c1, a2, b2).
+A product whose factors' degrees sum past ``ORDINARY_MAX_DEGREE`` would need
+large factorials, so it goes pair by pair through the kernel instead.
 
 The rewrite and species routes take only the ``Element`` container (with its
 ``NormalMonomial`` keys) from here; species calls ``star`` solely to build the
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm
 from typing import NamedTuple
 
 from .combinatorics import falling_factorial, shifted_elem
@@ -151,6 +155,15 @@ def _packed_weights(m1, m2, k):
         yield [packed >> k * u & mask for u in range(b1 + b2 + rho3 + 1)]
 
 
+def _weight_rows(m1, m2):
+    """The weight polynomial of each rho3 of m1 * m2 as a coefficient list,
+    packed when the largest fits in ``PACKED_MAX_BITS``, listed otherwise."""
+    k, bits = _packed_size(m1, m2)
+    if bits <= PACKED_MAX_BITS:
+        return _packed_weights(m1, m2, k)
+    return _listed_weights(m1, m2)
+
+
 def _mono_product(m1: NormalMonomial, m2: NormalMonomial) -> dict[NormalMonomial, int]:
     """The closed product formula for m1 * m2, summed in stages, as a fresh
     dict that the caller owns.
@@ -196,13 +209,8 @@ def _mono_product(m1: NormalMonomial, m2: NormalMonomial) -> dict[NormalMonomial
     for i in range(1, b1 + b2 + d1 + d2 + 2 * top + 1):
         fact.append(fact[-1] * i)
     fixed = fact[b1] * fact[b2] * fact[d1] * fact[d2]
-    k, bits = _packed_size(m1, m2)
-    if bits <= PACKED_MAX_BITS:
-        rows = _packed_weights(m1, m2, k)
-    else:
-        rows = _listed_weights(m1, m2)
     out: dict[NormalMonomial, int] = {}
-    for rho3, weights in enumerate(rows):
+    for rho3, weights in enumerate(_weight_rows(m1, m2)):
         alpha, gamma = a1 + a2 - rho3, c1 - rho3 + c2
         scale = (-1) ** rho3 * comb(alpha, a1) * comb(gamma, c2)
         den = fixed * fact[rho3]
@@ -218,13 +226,37 @@ def _mono_product(m1: NormalMonomial, m2: NormalMonomial) -> dict[NormalMonomial
     return out
 
 
-# star meets a pair again in each product of elements that share it, so it
-# keeps the products of the 16,384 pairs it used last: 5 times the 3,136
-# pairs of a square of the 56 monomials of degree <= 5 in x, y, z.  Its
-# dicts are shared between calls, so star only reads them.  The single-pair
-# callers (mono_star_mono, and so structural_coefficient, coeff and verify)
-# ask for each pair once and call _mono_product directly.
-_mono_star = lru_cache(maxsize=1 << 14)(_mono_product)
+def _middle_product(b1: int, c1: int, a2: int, b2: int) -> tuple[tuple[int, ...], ...]:
+    """The normal form of the middle y^b1 z^c1 x^a2 y^b2 in the ordinary
+    basis x^a y^b z^c h^d, as one row of coefficients for each r: entry u of
+    row r is the coefficient of x^(a2 - r) y^(b1 + b2 + r - u) z^(c1 - r)
+    h^(r + u).
+
+    The middle is b1! c1! a2! b2! times the divided product (0,b1,c1,0) *
+    (a2,b2,0,0), and with a1 = c2 = d1 = d2 = 0 the factorials of
+    ``_mono_product`` cancel: entry u of row r is (-1)^r C(a2, r) C(c1, r) r!
+    w_u, where w_u is the coefficient of t^u in the weight polynomial of
+    rho3 = r.  So the middle needs no division.  A weight polynomial is a
+    product of factors 1 + v t with v >= 0, so its coefficients are positive
+    up to its degree and zero above; each row stops at its last nonzero entry.
+    """
+    rows = []
+    for r, weights in enumerate(_weight_rows((0, b1, c1, 0), (a2, b2, 0, 0))):
+        while not weights[-1]:
+            weights.pop()
+        scale = (-1) ** r * perm(a2, r) * comb(c1, r)
+        rows.append(tuple(scale * w for w in weights))
+    return tuple(rows)
+
+
+# star meets a middle again in each pair of groups that shares it, so it keeps
+# the 2,048 middles it used last, keyed (b1, c1, a2, b2).  A square of the
+# monomials of degree <= 8 in x, y, z, h meets 45^2 = 2,025 middles, and
+# dense_warm's square of the 56 monomials of degree <= 5 in x, y, z meets
+# 21^2 = 441, so both stay warm.  The single-pair callers (mono_star_mono, and
+# so structural_coefficient, coeff and verify) and star's pair-by-pair route
+# for large degrees call _mono_product directly.
+_mono_star = lru_cache(maxsize=1 << 11)(_middle_product)
 
 
 class Element:
@@ -350,8 +382,8 @@ def _combine_caps(c1: int | None, c2: int | None) -> int | None:
 def mono_star_mono(m1, m2) -> Element:
     """Star product of two divided monomials, by the closed formula.
 
-    The kernel runs afresh on every call: only ``star`` keeps a memo of
-    products, bounded to the last 16,384 pairs.  Raises ``TypeError`` for an
+    The kernel runs afresh on every call: only ``star`` keeps a memo, of
+    middle products, bounded to the last 2,048.  Raises ``TypeError`` for an
     exponent that is not an ``int`` (``bool`` included) and ``ValueError``
     for a negative one, naming the pair."""
     m1, m2 = NormalMonomial(*m1), NormalMonomial(*m2)
@@ -363,25 +395,38 @@ def mono_star_mono(m1, m2) -> Element:
     return Element._built(_mono_product(m1, m2))
 
 
+# star works in the ordinary basis only while the degrees of its two factors
+# sum to at most this, so that its factorials have at most 3,900 bits.  A
+# larger product, such as one with a large passive exponent a1 or c2, goes
+# pair by pair through the kernel, where a1 and c2 enter only two binomials
+ORDINARY_MAX_DEGREE = 512
+
+
 def _over_common_denominator(f: Element) -> tuple[int, list[tuple]]:
-    """The least common denominator L of f's coefficients, and each term of f
-    as (monomial, its total degree, coefficient * L as an int)."""
+    """The least common denominator D of f's coefficients, and each term of f
+    as (monomial, its total degree, coefficient * D as an int)."""
     den = lcm(*(v.denominator for v in f.terms.values()))
     return den, [(m, sum(m), v.numerator * (den // v.denominator))
                  for m, v in f.terms.items()]
 
 
-def star(f: Element, g: Element) -> Element:
-    """Bilinear extension of the monomial product.
+def _ordinary_terms(f: Element) -> tuple[int, int, list[tuple]]:
+    """f in the ordinary basis over one integer denominator.
 
-    Each factor is brought over the least common denominator of its
-    coefficients, so the products of the integer kernel coefficients are
-    summed as Python ints, and each output coefficient is divided once by
-    the product of the two denominators (ints stay ints).  The product is
-    graded, so a shared degree cap commutes with truncation: nothing at or
-    below the cap is lost when both factors are capped.
-    """
-    cap = _combine_caps(f.cap, g.cap)
+    Gives the least common denominator D of f's coefficients, the least
+    common multiple L of a! b! c! d! over f's monomials, and each term as
+    (monomial, its total degree, n), where n / (D L) is the term's ordinary
+    coefficient v / (a! b! c! d!)."""
+    den, terms = _over_common_denominator(f)
+    norms = [factorial(a) * factorial(b) * factorial(c) * factorial(d)
+             for a, b, c, d in f.terms]
+    big = lcm(*norms)
+    return den, big, [(m, deg, n * (big // norm)) for (m, deg, n), norm in zip(terms, norms)]
+
+
+def _pairwise_star(f: Element, g: Element, cap: int | None) -> Element:
+    """f * g one monomial pair at a time through the unmemoized kernel, summed
+    in integers over the two common denominators."""
     den_f, left = _over_common_denominator(f)
     den_g, right = _over_common_denominator(g)
     out: dict[NormalMonomial, int] = {}
@@ -390,13 +435,102 @@ def star(f: Element, g: Element) -> Element:
             if cap is not None and deg1 + deg2 > cap:
                 continue
             n12 = n1 * n2
-            for mono, coeff in _mono_star(m1, m2).items():
+            for mono, coeff in _mono_product(m1, m2).items():
                 out[mono] = out.get(mono, 0) + n12 * coeff
-    # the product is graded, so no output monomial is above the cap
     den = den_f * den_g
-    if den == 1:
-        return Element._built({mono: v for mono, v in out.items() if v}, cap)
-    return Element._built({mono: Fraction(v, den) for mono, v in out.items() if v}, cap)
+    return Element._built({mono: v if den == 1 else Fraction(v, den)
+                           for mono, v in out.items() if v}, cap)
+
+
+def star(f: Element, g: Element) -> Element:
+    """Bilinear extension of the monomial product, through middle products.
+
+    In the ordinary basis x^a y^b z^c h^d, with h central,
+
+        m1 * m2 = x^a1 h^(d1 + d2) N(y^b1 z^c1 x^a2 y^b2) z^c2,
+
+    so the passive letters only add to the exponents of the middle's normal
+    form N, with coefficient 1.  ``star`` brings each factor into the
+    ordinary basis once, over one integer denominator, and groups its terms
+    by their middle exponents: f's by (b1, c1), g's by (a2, b2).  For each
+    pair of groups it reads one memoized middle product, and adds it, times
+    the product of two members' numerators, at each pair of members' passive
+    shift.  Monomials are packed into integer codes, so a shift is one
+    addition.  Each output term is brought back to the divided basis once,
+    by its a! b! c! d!, and divided by the product of the two denominators:
+    when both factors' coefficients are integral the product's are ``int``s,
+    otherwise ``Fraction``s.  The product is graded, so a shared degree cap
+    commutes with truncation: a pair of groups whose lowest degrees pass the
+    cap is skipped before its middle is read, and members, sorted by degree,
+    stop at the first pair that passes it.  A product whose factors' degrees
+    sum to more than ``ORDINARY_MAX_DEGREE`` is summed pair by pair instead,
+    and leaves the memo alone.
+    """
+    cap = _combine_caps(f.cap, g.cap)
+    if not f.terms or not g.terms:
+        return Element._built({}, cap)
+    top = max(m.degree for m in f.terms) + max(m.degree for m in g.terms)
+    if top > ORDINARY_MAX_DEGREE:
+        return _pairwise_star(f, g, cap)
+    den_f, big_f, left = _ordinary_terms(f)
+    den_g, big_g, right = _ordinary_terms(g)
+    # a code packs (a, b, c, d) in w-bit fields, wide enough for every output
+    # exponent, so shifting a monomial is adding codes
+    w = top.bit_length()
+    w2, w3, mask = 2 * w, 3 * w, (1 << w) - 1
+    limit = top if cap is None else cap
+    left_groups: dict[tuple[int, int], list] = {}
+    for (a, b, c, d), deg, n in left:
+        left_groups.setdefault((b, c), []).append((deg, a << w3 | d, n))
+    right_groups: dict[tuple[int, int], list] = {}
+    for (a, b, c, d), deg, n in right:
+        right_groups.setdefault((a, b), []).append((deg, c << w | d, n))
+    # lowest degree first, so the cap ends a run of members
+    for members in (*left_groups.values(), *right_groups.values()):
+        members.sort()
+    out: dict[int, int] = {}
+    get = out.get
+    # along a row of the middle each entry moves one y to h, and from one row
+    # to the next one x and one z go and one y and one h come
+    step = 1 - (1 << w2)
+    rstep = 1 - (1 << w) + (1 << w2) - (1 << w3)
+    for (b1, c1), lefts in left_groups.items():
+        for (a2, b2), rights in right_groups.items():
+            low = limit - rights[0][0]
+            if lefts[0][0] > low:
+                continue
+            middle = _mono_star(b1, c1, a2, b2)
+            base = a2 << w3 | (b1 + b2) << w2 | c1 << w
+            for deg1, shift1, n1 in lefts:
+                if deg1 > low:
+                    break
+                for deg2, shift2, n2 in rights:
+                    if deg1 + deg2 > limit:
+                        break
+                    n = n1 * n2
+                    start = base + shift1 + shift2
+                    for row in middle:
+                        code = start
+                        for coeff in row:
+                            out[code] = get(code, 0) + n * coeff
+                            code += step
+                        start += rstep
+    fact = [1]
+    for i in range(1, top + 1):
+        fact.append(fact[-1] * i)
+    den, big = den_f * den_g, big_f * big_g
+    terms: dict[NormalMonomial, Fraction | int] = {}
+    for code, n in out.items():
+        if n:
+            mono = (code >> w3, code >> w2 & mask, code >> w & mask, code & mask)
+            a, b, c, d = mono
+            value, rem = divmod(fact[a] * fact[b] * fact[c] * fact[d] * n, big)
+            if rem:
+                raise IntegralityViolation(
+                    f"coefficient of {mono} in a product is not a multiple of 1/{den}")
+            terms[tuple.__new__(NormalMonomial, mono)] = (
+                value if den == 1 else Fraction(value, den))
+    return Element._built(terms, cap)
 
 
 def structural_coefficient(m1, m2, out) -> int:

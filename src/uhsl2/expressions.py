@@ -205,8 +205,8 @@ MAX_LITERAL_DIGITS = 4_000
 MAX_OUTPUT_DIGITS = 4_300
 MAX_CAP = 32
 # one evaluate expands at most this many monomial pairs, summed over its
-# products.  Chains of capped series products run at 0.6-4 us a pair, so the
-# bound is under 0.5 s of them; the largest pinned request, a flat sum of
+# products.  Chains of capped series products run at 0.15-1.6 us a pair, so
+# the bound is under 0.2 s of them; the largest pinned request, a flat sum of
 # 2,000 terms, expands 2,000 pairs.  The bound counts pairs, not their degree:
 # a pair of distinct degree-16 monomials, such as (0,6,10,0) * (10,6,0,0),
 # can take 0.4 ms

@@ -1,11 +1,13 @@
 """The paper's closed product formula, summed literally over index assignments.
 
-This is the reference the staged kernel ``uhsl2.algebra._mono_star`` is
+This is the reference the staged kernel ``uhsl2.algebra._mono_product`` is
 checked against: one ``ProductIndexAssignment`` per summand, its integer
 value built from the four multinomials exactly as the formula is written,
 and no cancellation or regrouping.  ``reference_star`` is the reference for
-the bilinear ``uhsl2.algebra.star``: it accumulates the kernel's terms one
-exact rational multiply and add at a time, with no common denominator.
+the bilinear ``uhsl2.algebra.star``: it multiplies monomial by monomial
+through the unmemoized kernel, in the divided basis, and accumulates one
+exact rational multiply and add at a time, with no common denominator, no
+grouping and no middle product (``_mono_star``, star's memo of middles).
 """
 
 from __future__ import annotations

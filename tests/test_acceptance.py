@@ -300,3 +300,16 @@ def test_criterion_12_normal_ordering_specializations():
                 assert star(za, yb) == normal_order_zy(a, b)
                 assert star(ya, xb) == normal_order_yx(a, b)
                 assert star(za, xb) == normal_order_zx(a, b)
+
+
+def test_criterion_13_dense_product_budget():
+    # every monomial of degree <= 6 in x, y, z, h, with Fraction coefficients:
+    # 44,100 monomial pairs in 28 x 28 pairs of groups, so 784 middles
+    rng = random.Random(13)
+    monos = [m for m in iproduct(range(7), repeat=4) if sum(m) <= 6]
+    f = Element({m: Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 32)) for m in monos})
+    _mono_star.cache_clear()
+    with criterion(13, "dense square of the 210 monomials of degree <= 6, cold", budget=0.5):
+        product = star(f, f)
+        assert len(f.terms) == 210 and len(product.terms) == 1820
+        assert all(type(v) is Fraction for v in product.terms.values())

@@ -8,6 +8,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import comb
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +21,13 @@ from reference_formula import (
 )
 from uhsl2 import algebra, combinatorics, species
 from uhsl2.algebra import (
+    ORDINARY_MAX_DEGREE,
     PACKED_MAX_BITS,
     Element,
     IntegralityViolation,
     NormalMonomial,
     _listed_weights,
+    _middle_product,
     _mono_product,
     _mono_star,
     _packed_size,
@@ -38,7 +41,7 @@ from uhsl2.algebra import (
     structural_coefficient,
 )
 from uhsl2.combinatorics import shifted_elem
-from uhsl2.rewrite import oracle_star
+from uhsl2.rewrite import normalize, oracle_star
 
 X1 = Element.monomial((1, 0, 0, 0))
 Y1 = Element.monomial((0, 1, 0, 0))
@@ -352,7 +355,8 @@ class TestKernelInputs:
 
 
 class TestKernelMemo:
-    """Only star keeps kernel products, and it keeps a bounded number."""
+    """Only star keeps kernel products, the middle products of its pairs of
+    groups, and it keeps a bounded number."""
 
     def test_single_pair_callers_leave_the_memo_alone(self):
         pairs = [((0, 0, 2, 0), (2, 0, 0, 0)), ((1, 2, 3, 1), (3, 2, 1, 0)),
@@ -380,13 +384,17 @@ class TestKernelMemo:
     def test_star_equals_reference(self, memo):
         _mono_star.cache_clear()
         if memo == "evicted":
-            # one product over more distinct pairs than the memo holds
+            # one product over more middles than the memo holds: its 49 groups
+            # (b1, c1) on the left and 49 groups (a2, b2) on the right meet
+            # 2,401 middles, where dense_warm meets 441 and a square of degree
+            # <= 8 meets 2,025
             rng = random.Random(4)
-            monos = list(product(range(4), repeat=4))
-            star(Element({m: rng.randint(1, 9) for m in monos}),
-                 Element({m: rng.randint(1, 9) for m in monos[:70]}))
+            star(Element({(rng.randrange(3), b, c, rng.randrange(3)): rng.randint(1, 9)
+                          for b in range(7) for c in range(7)}),
+                 Element({(a, b, rng.randrange(3), rng.randrange(3)): rng.randint(1, 9)
+                          for a in range(7) for b in range(7)}))
             info = _mono_star.cache_info()
-            assert info.misses == 256 * 70 > info.maxsize == info.currsize
+            assert info.misses == 49 * 49 > info.maxsize == info.currsize
         rng = random.Random(memo)
         for _ in range(40):
             f = random_element(rng, max_deg=4, n_terms=6)
@@ -743,3 +751,72 @@ class TestStarAgainstReference:
     @given(factors(COEFFICIENTS["int"]), factors(COEFFICIENTS["int"]))
     def test_integer_factors_give_integer_coefficients(self, f, g):
         assert all(type(v) is int for v in star(f, g).terms.values())
+
+
+def integral(f: Element) -> bool:
+    return all(v.denominator == 1 for v in f.terms.values())
+
+
+# few middles and many passive exponents, so that a group's members differ in
+# degree and a cap cuts through groups
+GROUPED_MONOS = [(a, b, c, d) for a in range(4) for b in range(3) for c in range(3)
+                 for d in range(4)]
+
+
+@st.composite
+def grouped_factors(draw, cap):
+    kind = draw(st.sampled_from(["int", "fraction", "integral_fraction", "mixed"]))
+    terms = draw(st.dictionaries(st.sampled_from(GROUPED_MONOS), COEFFICIENTS[kind],
+                                 max_size=8))
+    return Element(terms, cap)
+
+
+class TestMiddleProducts:
+    """star spreads one memoized middle product per pair of groups over the
+    members' passive exponents, in the ordinary basis."""
+
+    def test_middle_is_the_rewritten_word(self):
+        for b1, c1, a2, b2 in product(range(5), repeat=4):
+            terms = {}
+            for r, row in enumerate(_middle_product(b1, c1, a2, b2)):
+                for u, coeff in enumerate(row):
+                    assert coeff, (b1, c1, a2, b2, r, u)
+                    terms["X" * (a2 - r) + "Y" * (b1 + b2 + r - u) + "Z" * (c1 - r)
+                          + "H" * (r + u)] = coeff
+            word = "Y" * b1 + "Z" * c1 + "X" * a2 + "Y" * b2
+            assert terms == {w: v for w, v in normalize(word).items() if v}, word
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), cap=st.sampled_from([None, *range(13)]), shared=st.booleans())
+    def test_star_equals_reference_with_its_types(self, data, cap, shared):
+        f = data.draw(grouped_factors(cap))
+        g = data.draw(grouped_factors(cap if shared else None))
+        product, expected = star(f, g), reference_star(f, g)
+        assert product == expected
+        assert product.cap == expected.cap
+        # ints exactly when both factors' coefficients are integral
+        kind = int if integral(f) and integral(g) else Fraction
+        assert all(type(v) is kind for v in product.terms.values())
+
+    @pytest.mark.parametrize("extra, through_middles", [(0, True), (1, False)])
+    def test_the_degree_bound_picks_the_route(self, extra, through_middles):
+        # the factors' degrees sum to the bound, or to one more
+        half = ORDINARY_MAX_DEGREE // 2
+        f = Element({(half - 2, 1, 1, 0): Fraction(1, 3), (0, 0, 2, 0): 5})
+        g = Element({(1, 1, half - 2 + extra, 0): 2, (2, 0, 0, 1): Fraction(-1, 2)})
+        _mono_star.cache_clear()
+        product = star(f, g)
+        assert (_mono_star.cache_info().misses > 0) == through_middles
+        assert product == reference_star(f, g)
+        assert all(type(v) is Fraction for v in product.terms.values())
+
+    @pytest.mark.parametrize("a", [20_000, 10**100], ids=["20000", "10^100"])
+    def test_a_large_passive_exponent_takes_no_factorial(self, a):
+        # a1 and c2 enter the kernel only through two binomials; 20000! alone
+        # has 77,338 digits, and 10**100 is past what math.factorial accepts
+        f = Element({(a, 1, 2, 0): 3, (0, 0, 1, 1): 1})
+        g = Element({(2, 1, a, 0): Fraction(1, 2), (1, 0, 0, 0): 1})
+        start = perf_counter()
+        product = star(f, g)
+        assert perf_counter() - start < 0.5
+        assert product == reference_star(f, g)
