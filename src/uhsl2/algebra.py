@@ -319,7 +319,12 @@ class Element:
         return self
 
     def coefficient(self, mono) -> Fraction | int:
-        return self.terms.get(NormalMonomial(*mono), 0)
+        # a plain 4-tuple hashes and compares equal to the NormalMonomial key
+        try:
+            a, b, c, d = mono
+        except ValueError:
+            raise TypeError(f"monomial {mono!r} does not have four exponents") from None
+        return self.terms.get((a, b, c, d), 0)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -12,13 +12,18 @@ which ``species_coefficient_check`` verifies size tuple by size tuple.
 The count runs in two stages.  The block-size profiles are enumerated
 first, in integers: the walk runs over the eight argument sizes the two
 functors see, each drawn from the functor's slot sizes, and these fix every
-block but h5 and h6, the only two sizes left free.  Then, for each profile,
-the labels of each color are dealt into its blocks: the choices of labels
-for a block are enumerated with ``combinations`` and counted one by one.  So
-the multinomial factors of the algebraic formula are never inserted by hand;
-they emerge as the number of labelled assignments sharing a profile.  A
-deal's count depends only on the number of labels and the block sizes, so
-each distinct deal is enumerated once and its count kept in a bounded memo.
+block but h5 and h6, the only two sizes left free.  A size tuple below the
+lowest sizes the two functors accept is refused by integer comparisons
+before the walk starts; most size tuples of a check are.  Then, for each
+profile, the labels of each color are dealt into its blocks one block at a
+time: the labels of a block are chosen out of those the earlier blocks
+left, and the choices are enumerated with ``combinations`` and counted one
+by one.  So the multinomial factors of the algebraic formula are never
+inserted by hand; they emerge as the number of labelled assignments sharing
+a profile.  A choice's count depends only on the number of labels and the
+block size, so each distinct choice is enumerated once and its count kept
+in a bounded memo.  ``ascending_maps_count`` counts its maps row by row, by
+a recursion in the number of rows.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from .algebra import COLORS, Element, NormalMonomial, star
 X, Y, Z, H = range(4)
 # color -> the exponents of its singleton
 _UNIT_EXPONENTS = {c: tuple(int(c == k) for k in COLORS) for c in COLORS}
+# color -> the largest sizes an exponential in it accepts; None is no bound
+_EXP_HIGHEST = {c: tuple(None if c == k else 0 for k in COLORS) for c in COLORS}
 
 
 class ColoredSizes(NamedTuple):
@@ -48,106 +55,111 @@ class ColoredSizes(NamedTuple):
 class FunctorSpec:
     """Base for the rigid functor kinds; value on a size 4-tuple is 0 or 1.
 
-    A kind names the sizes each color's argument may take with
-    ``slot_sizes``, the fixed ``exponents`` unless it overrides it.  Each
-    color is tested on its own, so a size tuple is accepted iff every size
-    passes its color's test, and per-color pruning is exact.
+    Each kind holds as data the ``lowest`` size it accepts in each color and
+    the ``highest`` (None when any size is accepted), and it accepts a size
+    tuple iff every size lies within its color's bounds.  So each color is
+    tested on its own, and per-color pruning is exact.
     """
+
+    lowest: tuple[int, int, int, int]
+    highest: tuple[int | None, int | None, int | None, int | None]
 
     def value(self, sizes: Sequence[int]) -> int:
         return int(all(s in self.slot_sizes(color, s) for color, s in enumerate(sizes)))
 
     def slot_sizes(self, color: int, limit: int) -> range:
         """Sizes of the ``color`` argument (0..limit) not forcing value 0."""
-        want = self.exponents[color]
-        return range(want, want + 1) if want <= limit else range(0)
+        high = self.highest[color]
+        return range(self.lowest[color], limit + 1 if high is None or high > limit else high + 1)
 
 
-@dataclass(frozen=True)
+def _check_color(spec: FunctorSpec, color: str) -> None:
+    if color not in COLORS:
+        raise ValueError(f"{type(spec).__name__}({color!r}): color must be one of "
+                         f"{', '.join(COLORS)}")
+
+
+# Each kind is built by one update of its instance dict, which a frozen
+# dataclass leaves open: the generated __init__ writes each field through
+# object.__setattr__ on its own, and a caller may build the two functors again
+# for each size tuple it counts.  The fields, and so ==, hash and repr, are
+# the dataclass's.
+@dataclass(frozen=True, init=False)
 class DividedPower(FunctorSpec):
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self):
-        # set once here, since a cached_property locks on its first access
-        object.__setattr__(self, "exponents", (self.a, self.b, self.c, self.d))
+    def __init__(self, a: int, b: int, c: int, d: int):
+        e = (a, b, c, d)
+        self.__dict__.update(a=a, b=b, c=c, d=d, exponents=e, lowest=e, highest=e)
 
     def __str__(self) -> str:
         return f"dp({self.a},{self.b},{self.c},{self.d})"
 
 
-@dataclass(frozen=True)
-class _OneColor(FunctorSpec):
+@dataclass(frozen=True, init=False)
+class Singleton(FunctorSpec):
     color: str
 
-    def __post_init__(self):
-        if self.color not in COLORS:
-            raise ValueError(f"{type(self).__name__}({self.color!r}): color must be "
-                             f"one of {', '.join(COLORS)}")
-
-
-@dataclass(frozen=True)
-class Singleton(_OneColor):
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "exponents", _UNIT_EXPONENTS[self.color])
+    def __init__(self, color: str):
+        _check_color(self, color)
+        e = _UNIT_EXPONENTS[color]
+        self.__dict__.update(color=color, exponents=e, lowest=e, highest=e)
 
     def __str__(self) -> str:
         return self.color
 
 
-@dataclass(frozen=True)
-class Exponential(_OneColor):
-    def slot_sizes(self, color, limit) -> range:
-        if color == COLORS.index(self.color):
-            return range(limit + 1)
-        return range(1)
+@dataclass(frozen=True, init=False)
+class Exponential(FunctorSpec):
+    color: str
+
+    def __init__(self, color: str):
+        _check_color(self, color)
+        self.__dict__.update(color=color, lowest=(0, 0, 0, 0), highest=_EXP_HIGHEST[color])
 
     def __str__(self) -> str:
         return f"exp({self.color})"
 
 
 # base, m and k are the sizes of the disjoint blocks z1 + x2, h3 and h4, so a
-# species check up to total T meets at most C(T + 3, 3) keys: 969 at T = 16
-@lru_cache(maxsize=1 << 10)
+# species check up to total T meets at most C(T + 3, 3) keys: 1,771 at T = 20
+@lru_cache(maxsize=1 << 11)
 def ascending_maps_count(base: int, m: int, k: int) -> int:
     """Maps from an ordered k-set into components of sizes base..base+m-1,
-    with strictly increasing component indices, counted one by one.
+    with strictly increasing component indices.
 
     Equivalently, placements of k dots on the staircase tableau with those row
     lengths, at most one per row.  Conventions: 1 for m = k = 0 (the empty
-    map), 0 for m = 0 < k.
+    map), 0 for m = 0 < k.  The maps are counted row by row: a map either
+    leaves the last row empty or puts its last dot in one of that row's
+    base + m - 1 cells, so
+    A(base, m, k) = A(base, m - 1, k) + (base + m - 1) A(base, m - 1, k - 1).
+    The rows are added in a loop, so m is not limited by the recursion depth.
     """
     if base < 0:
         raise ValueError("component sizes must be natural numbers")
+    if k < 0:
+        raise ValueError("the number of dots must be a natural number")
+    # counts[j]: maps of j dots into the rows added so far
+    counts = [1] + [0] * k
+    for row in range(m):
+        for j in range(min(row + 1, k), 0, -1):
+            counts[j] += (base + row) * counts[j - 1]
+    return counts[k]
+
+
+# one key (n, k) with k <= n <= T for each block a check up to total T deals,
+# (T + 1)(T + 2) / 2 keys: 231 at T = 20
+@lru_cache(maxsize=1 << 9)
+def _choices(n: int, k: int) -> int:
+    """Ways to choose the k labels of one block out of n, enumerated with
+    ``combinations`` and counted one by one."""
     count = 0
-    for comps in combinations(range(m), k):
-        for _assignment in product(*(range(base + i) for i in comps)):
-            count += 1
-    return count
-
-
-# the key is a partition of n into at most six parts, the blocks of h; a
-# species check up to total T meets at most one per partition of each n <= T,
-# 634 at T = 16
-@lru_cache(maxsize=1 << 10)
-def _deals(n: int, blocks: tuple[int, ...]) -> int:
-    """Ways to deal n labels into blocks of the given sizes, which sum to n.
-
-    The choices of labels for the first block are enumerated with
-    ``combinations`` and counted one by one; the last block takes the labels
-    left over.  Each choice leaves the same number of labels for the other
-    blocks, so their deals are counted by one memoized call on the rest, and
-    each distinct (n, blocks) is enumerated once while it stays in the memo.
-    """
-    if len(blocks) <= 1:
-        return 1
-    rest_count = _deals(n - blocks[0], blocks[1:])
-    count = 0
-    for _ in combinations(range(n), blocks[0]):
-        count += rest_count
+    for _ in combinations(range(n), k):
+        count += 1
     return count
 
 
@@ -166,19 +178,20 @@ def star_species(F: FunctorSpec, G: FunctorSpec, sizes: ColoredSizes | Sequence[
     two stages.  ``_profiles`` enumerates the block-size profiles with a
     nonzero contribution in integers, from the eight argument sizes of F and
     G and the two free sizes |h5| and |h6|.  Then, for each profile, the
-    labels of each color are dealt into its blocks by ``_deals``, and the
-    product of the four deal counts multiplies the weight.  A deal count
-    depends only on the number of labels and the block sizes, so each
-    distinct one is enumerated once and memoized.
+    labels of each color are dealt into its blocks one block at a time: the
+    labels of a block are chosen out of those the earlier blocks left, so a
+    deal's count is the product of its blocks' ``_choices``.  A choice's
+    count depends only on the two numbers, so each is enumerated once and
+    memoized.
     """
+    nx, ny, nz, nh = sizes
     total = 0
-    for weight, *blocks in _profiles(F, G, sizes):
-        count = 1
-        for n, block_sizes in zip(sizes, blocks):
-            # reordering the blocks is a bijection on the deals, so one sorted
-            # key serves every order; the largest block comes last, uncounted
-            count *= _deals(n, tuple(sorted(k for k in block_sizes if k)))
-        total += weight * count
+    for weight, (x1, _), (y1, y2, _), (z2, _), (h3, h1, h2, h5, h6, _) in _profiles(F, G, sizes):
+        # the last block of each color takes the labels left
+        pool = nh - h3 - h1 - h2
+        total += (weight * _choices(nx, x1) * _choices(ny, y1) * _choices(ny - y1, y2)
+                  * _choices(nz, z2) * _choices(nh, h3) * _choices(nh - h3, h1)
+                  * _choices(nh - h3 - h1, h2) * _choices(pool, h5) * _choices(pool - h5, h6))
     return total
 
 
@@ -193,15 +206,27 @@ def _profiles(F: FunctorSpec, G: FunctorSpec, sizes: Sequence[int]) -> Iterator[
     |h6| stay free: |h5| is 0 when x2 is empty, where (2|x2|)^|h5| vanishes
     otherwise, and |h6| is 0 when z1 is empty.  Then |h4| takes what is left
     of h and |y3| = t - |h4|.
+
+    Most size tuples have no profile, so each is first tested against the
+    functors' lowest sizes, in integers, before any range is built: x1 needs
+    F's lowest x, z2 G's lowest z, and t the shortfall of F's z slot from z1
+    and of G's x slot from x2; h1, h2 and t share h, and F's and G's y sizes
+    with 2t, h1 and h2 make up ny + nh.  When nx is F's lowest x, x2 and so
+    h5 are empty and y1 is all of F's y size; when nz is G's lowest z, z1
+    and h6 are empty and y2 is all of G's.
     """
     nx, ny, nz, nh = sizes
-    # each slot at the widest size its blocks can give it; the four slots
-    # fed by a single block are tested first, since most size tuples fail one
-    if not ((fx := F.slot_sizes(X, nx)) and (gz := G.slot_sizes(Z, nz))
-            and (fh := F.slot_sizes(H, nh)) and (gh := G.slot_sizes(H, nh))):
+    fx0, fy0, fz0, fh0 = F.lowest
+    gx0, gy0, gz0, gh0 = G.lowest
+    t0 = max(fz0 + gz0 - nz, gx0 + fx0 - nx, 0)
+    if (nx < fx0 or nz < gz0 or fh0 + gh0 + t0 > nh
+            or fy0 + gy0 + 2 * t0 + fh0 + gh0 > ny + nh
+            or (fy0 if nx == fx0 else 0) + (gy0 if nz == gz0 else 0) > ny):
         return
-    slots = (fx, F.slot_sizes(Y, ny + nh), F.slot_sizes(Z, nz + nh), fh,
-             G.slot_sizes(X, nx + nh), G.slot_sizes(Y, ny + nh), gz, gh)
+    # each slot at the widest size its blocks can give it
+    slots = (F.slot_sizes(X, nx), F.slot_sizes(Y, ny + nh), F.slot_sizes(Z, nz + nh),
+             F.slot_sizes(H, nh), G.slot_sizes(X, nx + nh), G.slot_sizes(Y, ny + nh),
+             G.slot_sizes(Z, nz), G.slot_sizes(H, nh))
     # F sees (x1, y1+h5, z1+h3, h1) and G sees (x2+h3, y2+h6, z2, h2)
     for x1, fy, fz, h1, gx, gy, z2, h2 in product(*slots):
         x2, z1 = nx - x1, nz - z2
@@ -210,11 +235,13 @@ def _profiles(F: FunctorSpec, G: FunctorSpec, sizes: Sequence[int]) -> Iterator[
         # |y1| + |y2| + |y3| = ny with |y3| + |h4| = |h3| = t
         if t < 0 or t != gx - x2 or pool < 0 or fy + gy + 2 * t + h1 + h2 != ny + nh:
             continue
-        for n5 in range(min(pool, fy) + 1 if x2 else 1):
-            for n6 in range(min(pool - n5, gy) + 1 if z1 else 1):
+        # |h4| = pool - |h5| - |h6| is at most t, since |y3| = t - |h4|
+        top5 = min(pool, fy) if x2 else 0
+        top6 = min(pool, gy) if z1 else 0
+        for n5 in range(max(pool - t - top6, 0), top5 + 1):
+            for n6 in range(max(pool - t - n5, 0), min(pool - n5, top6) + 1):
                 n4 = pool - n5 - n6
-                # 0 when |h4| > t, which leaves y3 a negative size, and when
-                # x2 and z1 are both empty and |h4| = t > 0
+                # 0 when x2 and z1 are both empty and |h4| = t > 0
                 maps = ascending_maps_count(z1 + x2, t, n4)
                 if maps:
                     weight = ((-1) ** t * (2 * x2) ** n5 * (2 * z1) ** n6

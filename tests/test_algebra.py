@@ -42,6 +42,7 @@ from uhsl2.algebra import (
 )
 from uhsl2.combinatorics import shifted_elem
 from uhsl2.rewrite import normalize, oracle_star
+from uhsl2.species import ColoredSizes
 
 X1 = Element.monomial((1, 0, 0, 0))
 Y1 = Element.monomial((0, 1, 0, 0))
@@ -104,6 +105,21 @@ class TestElementBasics:
             Element.monomial(mono)
         with pytest.raises(TypeError, match=r"non-integer exponent"):
             Element.monomial(NormalMonomial(*mono))
+
+    def test_coefficient_reads_any_four_exponents(self):
+        # a plain tuple is looked up as it is: it hashes and compares equal
+        # to the NormalMonomial key with the same entries
+        f = Element({(1, 2, 0, 3): Fraction(-1, 2), (0, 0, 1, 0): 4})
+        for mono in ((1, 2, 0, 3), [1, 2, 0, 3], ColoredSizes(1, 2, 0, 3),
+                     NormalMonomial(1, 2, 0, 3)):
+            assert f.coefficient(mono) == Fraction(-1, 2)
+        assert f.coefficient(ColoredSizes(0, 0, 1, 0)) == 4
+        assert f.coefficient([0, 0, 0, 0]) == 0
+        for wrong in ((1, 2, 0), [0, 0, 1], (1, 2, 0, 3, 0), ()):
+            with pytest.raises(TypeError, match="does not have four exponents"):
+                f.coefficient(wrong)
+        with pytest.raises(TypeError):
+            f.coefficient(4)
 
     def test_additive_inverse(self):
         f = Element({(1, 2, 0, 0): 3, (0, 0, 0, 2): Fraction(-1, 2)})
@@ -377,7 +393,7 @@ class TestKernelMemo:
         assert ("uhsl2.algebra", "_mono_star") in caches
         assert ("uhsl2.combinatorics", "shifted_elem") in caches
         assert ("uhsl2.species", "ascending_maps_count") in caches
-        assert ("uhsl2.species", "_deals") in caches
+        assert ("uhsl2.species", "_choices") in caches
         assert all(size is not None for size in caches.values()), caches
 
     @pytest.mark.parametrize("memo", ["cleared", "evicted"])

@@ -159,6 +159,24 @@ class TestNormalize:
         sweep()
         assert len(rewrite._MEMO) == size
 
+    def test_memo_is_emptied_past_its_bound(self, monkeypatch):
+        # extend empties the memo when it starts with more than MEMO_BOUND
+        # entries, never in the middle of a call, and the products stay right
+        assert rewrite.MEMO_BOUND == 1 << 16
+        monkeypatch.setattr(rewrite, "MEMO_BOUND", 20)
+        monkeypatch.setattr(rewrite, "_MEMO", {})
+        monkeypatch.setattr(rewrite, "_YZX_RUNS", {})
+        monkeypatch.setattr(rewrite, "_ZY_RUNS", {})
+        sizes = []
+        for m1, m2 in product(product(range(3), repeat=4), repeat=2):
+            if len(rewrite._MEMO) > 20:
+                sizes.append(len(rewrite._MEMO))
+                assert normalize("ZX") == {"XZ": 1, "YH": -1}
+                sizes.append(len(rewrite._MEMO))
+            assert oracle_star(m1, m2) == mono_star_mono(m1, m2)
+        # it grew past the bound, and shrank on the next call
+        assert sizes and all(before > 20 >= after for before, after in zip(sizes[::2], sizes[1::2]))
+
     def test_termination_on_long_words(self):
         rng = random.Random(23)
         for _ in range(300):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
-from itertools import product
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
+from itertools import combinations, product
 from math import comb, factorial, prod
 
 import pytest
@@ -81,6 +83,26 @@ class TestFunctorValue:
         assert [f.name for f in fields(DividedPower)] == ["a", "b", "c", "d"]
         assert [f.name for f in fields(Singleton)] == ["color"]
 
+    @pytest.mark.parametrize("spec", [DividedPower(1, 0, 2, 0), Singleton("y"),
+                                      Exponential("h")], ids=str)
+    def test_frozen_and_copied_whole(self, spec):
+        # built by one update of the instance dict, which copy and pickle restore
+        for name in ("a", "color", "exponents", "lowest"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(spec, name, 1)
+        for twin in (copy.copy(spec), pickle.loads(pickle.dumps(spec)),
+                     replace(spec)):
+            assert twin == spec and vars(twin) == vars(spec)
+
+    def test_bounds_are_data(self):
+        assert (DividedPower(1, 0, 2, 0).lowest, DividedPower(1, 0, 2, 0).highest) == (
+            (1, 0, 2, 0), (1, 0, 2, 0))
+        assert (Singleton("h").lowest, Singleton("h").highest) == ((0, 0, 0, 1), (0, 0, 0, 1))
+        assert (Exponential("y").lowest, Exponential("y").highest) == (
+            (0, 0, 0, 0), (0, None, 0, 0))
+        assert Exponential("y").slot_sizes(1, 7) == range(8)
+        assert DividedPower(0, 3, 0, 0).slot_sizes(1, 2) == range(0)
+
     @pytest.mark.parametrize("kind", [Singleton, Exponential])
     @pytest.mark.parametrize("color", ["xy", "", "X", "exp(x)", 0])
     def test_color_is_checked_when_built(self, kind, color):
@@ -114,7 +136,7 @@ class TestProfiles:
                         xs, ys, zs, hs = blocks
                         (x1, x2), (y1, y2, y3), (z2, z1) = xs, ys, zs
                         h3, h1, h2, h5, h6, h4 = hs
-                        # _deals gives the last block whatever labels are left
+                        # the last block of each color takes the labels left
                         assert all(k >= 0 for block in blocks for k in block)
                         assert tuple(map(sum, blocks)) == tuple(sizes)
                         assert y3 + h4 == h3
@@ -124,7 +146,22 @@ class TestProfiles:
 
 
 class TestAscendingMapsCount:
-    """The brute-force tableau count: k dots on rows of lengths base..base+m-1."""
+    """The tableau count: k dots on rows of lengths base..base+m-1."""
+
+    def test_rows_count_the_maps_one_by_one(self):
+        # each map, an increasing choice of k rows and a cell in each, counted
+        def one_by_one(base, m, k):
+            return sum(1 for rows in combinations(range(m), k)
+                       for _ in product(*(range(base + i) for i in rows)))
+
+        for base in range(5):
+            for m in range(6):
+                for k in range(m + 2):
+                    assert ascending_maps_count(base, m, k) == one_by_one(base, m, k)
+
+    def test_many_rows_do_not_recurse(self):
+        # one dot on rows of lengths 0..4999
+        assert ascending_maps_count(0, 5000, 1) == 4999 * 5000 // 2
 
     def test_empty_conventions(self):
         for base in range(4):
@@ -150,6 +187,10 @@ class TestAscendingMapsCount:
         with pytest.raises(ValueError):
             ascending_maps_count(-1, 1, 1)
 
+    def test_rejects_a_negative_number_of_dots(self):
+        with pytest.raises(ValueError):
+            ascending_maps_count(1, 1, -1)
+
 
 def block_partitions(n, parts, smallest=1):
     """Partitions of n into at most ``parts`` parts of at least ``smallest``,
@@ -163,29 +204,47 @@ def block_partitions(n, parts, smallest=1):
 
 
 class TestDeals:
-    """Deal counts, and their memo of one key per partition of the labels."""
+    """Deal counts as products of per-block choices, and the choice memo."""
+
+    @staticmethod
+    def deal(n, blocks):
+        # as star_species deals one color: each block's labels are chosen out
+        # of those the earlier blocks left
+        count = 1
+        for k in blocks:
+            count *= species._choices(n, k)
+            n -= k
+        return count
 
     def test_counts_are_multinomials(self):
         for n in range(9):
             for blocks in block_partitions(n, 6):
-                assert species._deals(n, blocks) == factorial(n) // prod(map(factorial, blocks))
+                multinomial = factorial(n) // prod(map(factorial, blocks))
+                # in any order, with empty blocks anywhere
+                for order in (blocks, blocks[::-1], (0, *blocks, 0)):
+                    assert self.deal(n, order) == multinomial, (n, order)
+
+    def test_choices_are_counted_from_combinations(self):
+        for n in range(9):
+            for k in range(n + 2):
+                assert species._choices(n, k) == sum(1 for _ in combinations(range(n), k))
 
     def test_memo_keys_are_bounded(self):
-        # a check up to total T meets at most one deal key per partition of
-        # each n <= T into at most six parts (h has the most blocks), and at
-        # most C(T + 3, 3) keys of ascending_maps_count; both memos hold all
-        # of them at the CLI's bound
-        def deal_keys(total):
-            return sum(1 for n in range(total + 1) for _ in block_partitions(n, 6))
+        # a check up to total T deals each color's at most T labels, so it
+        # meets at most (T + 1)(T + 2) / 2 choice keys (n, k) with k <= n <= T,
+        # and at most C(T + 3, 3) keys of ascending_maps_count; both memos
+        # hold all of them at the CLI's bound
+        def choice_keys(total):
+            return (total + 1) * (total + 2) // 2
 
-        assert deal_keys(MAX_SPECIES_TOTAL) <= species._deals.cache_info().maxsize
+        assert choice_keys(MAX_SPECIES_TOTAL) <= species._choices.cache_info().maxsize
         assert comb(MAX_SPECIES_TOTAL + 3, 3) <= ascending_maps_count.cache_info().maxsize
-        species._deals.cache_clear()
+        species._choices.cache_clear()
         ascending_maps_count.cache_clear()
         for F in RIGID:
             for G in RIGID:
                 species_element(F, G, 8)
-        assert 0 < species._deals.cache_info().currsize <= deal_keys(8) == 64
+        assert 0 < species._choices.cache_info().currsize <= choice_keys(8) == 45
         assert 0 < ascending_maps_count.cache_info().currsize <= comb(8 + 3, 3)
 
 
@@ -246,6 +305,15 @@ SIZES_7 = list(size_tuples(7))
 @st.composite
 def functor_pair_and_sizes(draw):
     F, G = draw(FUNCTORS), draw(FUNCTORS)
+    # size tuples that the pair's lowest sizes exclude, which _profiles
+    # rejects before it walks: x1 needs F's lowest x, z2 G's lowest z, h1 and
+    # h2 F's and G's lowest h, and at the lowest x of F (z of G) y1 (y2)
+    # takes all of F's (G's) lowest y
+    (fx, fy, _, fh), (_, gy, gz, gh) = F.lowest, G.lowest
+    below = [s for s in SIZES_7 if s[0] < fx or s[2] < gz or s[3] < fh + gh
+             or (fy if s[0] == fx else 0) + (gy if s[2] == gz else 0) > s[1]]
+    if below and draw(st.booleans()):
+        return F, G, draw(st.sampled_from(below))
     # the product keeps the total degree and the weight nx - nz, so most
     # size tuples give 0; aim at the degree and weight the pair can reach
     fixed = [spec.exponents for spec in (F, G) if hasattr(spec, "exponents")]
@@ -261,7 +329,7 @@ def functor_pair_and_sizes(draw):
 class TestAgainstReference:
     """Profiles first, labels second, against the frozenset walk."""
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(functor_pair_and_sizes())
     def test_random_pairs_up_to_total_7(self, case):
         F, G, sizes = case
