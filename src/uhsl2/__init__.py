@@ -27,9 +27,7 @@ from .algebra import (
     structural_coefficient,
 )
 from .combinatorics import (
-    elementary_symmetric,
     falling_factorial,
-    pochhammer_k,
     shifted_elem,
     vam3_lhs,
     vam3_rhs,

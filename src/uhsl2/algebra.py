@@ -6,14 +6,16 @@ product of two such monomials is the paper's closed formula, a finite signed
 sum over 13-index assignments.  ``mono_star_mono`` evaluates it in stages:
 an output monomial collects the summands with one value of rho3 and of
 rho4 + rho5 + rho6, and after two factorial cancellations the sums for one
-rho3 are the coefficients of one small polynomial product.  That product has
-non-negative coefficients, so for small pairs it is evaluated at t = 2^k as
-one big integer whose k-bit slots are the coefficients; larger pairs multiply
-coefficient lists.  The literal 13-index sum is kept as the test reference in
-``tests/reference_formula.py``.  Coefficients of monomial-by-monomial
-products are always integers; the kernel checks that each of its divisions
-is exact, so it returns only ints.  ``mono_star_mono`` checks its two inputs
-and wraps the kernel's fresh result without a second check.
+rho3 are the coefficients of one small polynomial product.  ``_weight_rows``
+gives these products to both kernels, ``_mono_product`` and star's
+``_middle_product``: having non-negative coefficients, a small one is
+evaluated at t = 2^k as one big integer whose k-bit slots are the
+coefficients, and larger ones multiply coefficient lists.  The literal
+13-index sum is the test reference in ``tests/reference_formula.py``.
+Monomial-by-monomial coefficients are integers; the kernel checks that each
+of its divisions is exact, so it returns only ints.  ``mono_star_mono``
+checks its inputs with ``NormalMonomial.checked``, the one copy of the
+exponent rule, and wraps the kernel's result unchecked.
 
 ``star`` extends the product bilinearly in exact integers, in the ordinary
 basis x^a y^b z^c h^d.  There m1 * m2 = x^a1 h^(d1 + d2) N(y^b1 z^c1 x^a2
@@ -54,6 +56,24 @@ class NormalMonomial(NamedTuple):
     c: int
     d: int
 
+    @classmethod
+    def checked(cls, m1, m2=None):
+        """``m1`` as a NormalMonomial, or with ``m2`` the pair as two, once
+        every exponent passes the package's one exponent rule: one that is
+        not an ``int`` (``bool`` included) is a ``TypeError``, a negative one
+        a ``ValueError``, and the message names the monomial or the pair."""
+        m1 = cls(*m1)
+        if m2 is not None:
+            m2 = cls(*m2)
+        for e in m1 if m2 is None else m1 + m2:
+            if type(e) is not int or e < 0:
+                where = (f"monomial {tuple(m1)}" if m2 is None
+                         else f"{tuple(m1)} * {tuple(m2)}")
+                if type(e) is int:
+                    raise ValueError(f"negative exponent in {where}")
+                raise TypeError(f"non-integer exponent in {where}")
+        return m1 if m2 is None else (m1, m2)
+
     @property
     def degree(self) -> int:
         return self.a + self.b + self.c + self.d
@@ -73,9 +93,8 @@ class NormalMonomial(NamedTuple):
 UNIT = NormalMonomial(0, 0, 0, 0)
 
 
-# _mono_product evaluates a pair's weight polynomials as packed integers when
-# the largest of them has at most this many bits; the two paths break even
-# between about 9 and 24 kbit, depending on the shape (see _mono_product)
+# _weight_rows packs a pair's weight polynomials, for _mono_product and
+# _middle_product alike, when the largest of them has at most this many bits
 PACKED_MAX_BITS = 12_000
 
 
@@ -157,7 +176,11 @@ def _packed_weights(m1, m2, k):
 
 def _weight_rows(m1, m2):
     """The weight polynomial of each rho3 of m1 * m2 as a coefficient list,
-    packed when the largest fits in ``PACKED_MAX_BITS``, listed otherwise."""
+    packed when the largest fits in ``PACKED_MAX_BITS``, listed otherwise.
+
+    Products of big integers grow faster than the list recurrence: the two
+    paths cost the same at about 9 kbit for z^k * x^k (k = 38) and at about
+    24 kbit for (0,b,b,0) * (b,b,0,0) (b = 22)."""
     k, bits = _packed_size(m1, m2)
     if bits <= PACKED_MAX_BITS:
         return _packed_weights(m1, m2, k)
@@ -190,17 +213,14 @@ def _mono_product(m1: NormalMonomial, m2: NormalMonomial) -> dict[NormalMonomial
     Small pairs evaluate the weight polynomial at t = 2^k as one integer
     (Kronecker substitution): per rho3 the symbols take two multiplications
     and one exact division (two factors join, one leaves), the weights one
-    product, and the coefficients are read back with shift and mask.  Every v above is at least
-    a2 + c1 - 2 rho3 >= 0, so every coefficient is non-negative and at most
-    the polynomial's value at t = 1, itself at most (1 + 2 a2)^b1
-    (1 + 2 c1)^b2 (1 + a2 + c1)^min(c1, a2); k is one bit wider than that
-    bound, which keeps the coefficients in separate k-bit slots.  Products of
-    big integers grow faster than the list recurrence, so when the largest
-    packed polynomial would exceed ``PACKED_MAX_BITS`` the kernel multiplies
-    coefficient lists instead.  The packed and listed paths cost the same at
-    about 9 kbit for z^k * x^k (k = 38) and at about 24 kbit for
-    (0,b,b,0) * (b,b,0,0) (b = 22).  Each division is exact; a remainder
-    raises ``IntegralityViolation``.
+    product, and the coefficients are read back with shift and mask.  Every
+    v above is at least a2 + c1 - 2 rho3 >= 0, so every coefficient is
+    non-negative and at most the polynomial's value at t = 1, itself at most
+    (1 + 2 a2)^b1 (1 + 2 c1)^b2 (1 + a2 + c1)^min(c1, a2); k is one bit wider
+    than that bound, which keeps the coefficients in separate k-bit slots.
+    When the largest would exceed ``PACKED_MAX_BITS``, ``_weight_rows``
+    multiplies coefficient lists instead.  Each division is exact; a
+    remainder raises ``IntegralityViolation``.
     """
     a1, b1, c1, d1 = m1
     a2, b2, c2, d2 = m2
@@ -286,12 +306,9 @@ class Element:
                 raise TypeError(f"coefficient {val!r} is not an int or a Fraction")
             if not val:
                 continue
-            mono = key if isinstance(key, NormalMonomial) else NormalMonomial(*key)
-            # the library's own keys are NormalMonomials and go unchecked
-            if mono is not key and any(type(e) is not int for e in mono):
-                raise TypeError(f"non-integer exponent in monomial {tuple(mono)}")
-            if min(mono) < 0:
-                raise ValueError(f"negative exponent in monomial {tuple(mono)}")
+            # the library's own keys are NormalMonomials, whose types go unchecked
+            mono = (key if isinstance(key, NormalMonomial) and min(key) >= 0
+                    else NormalMonomial.checked(key))
             if cap is not None and mono.degree > cap:
                 continue
             clean[mono] = val
@@ -325,9 +342,6 @@ class Element:
         except ValueError:
             raise TypeError(f"monomial {mono!r} does not have four exponents") from None
         return self.terms.get((a, b, c, d), 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def with_cap(self, cap: int | None) -> "Element":
         return Element(self.terms, cap)
@@ -387,17 +401,9 @@ def _combine_caps(c1: int | None, c2: int | None) -> int | None:
 def mono_star_mono(m1, m2) -> Element:
     """Star product of two divided monomials, by the closed formula.
 
-    The kernel runs afresh on every call: only ``star`` keeps a memo, of
-    middle products, bounded to the last 2,048.  Raises ``TypeError`` for an
-    exponent that is not an ``int`` (``bool`` included) and ``ValueError``
-    for a negative one, naming the pair."""
-    m1, m2 = NormalMonomial(*m1), NormalMonomial(*m2)
-    for e in m1 + m2:
-        if type(e) is not int:
-            raise TypeError(f"non-integer exponent in {tuple(m1)} * {tuple(m2)}")
-        if e < 0:
-            raise ValueError(f"negative exponent in {tuple(m1)} * {tuple(m2)}")
-    return Element._built(_mono_product(m1, m2))
+    The kernel runs afresh on every call; only ``star`` keeps a memo, of
+    middle products.  ``NormalMonomial.checked`` checks the exponents."""
+    return Element._built(_mono_product(*NormalMonomial.checked(m1, m2)))
 
 
 # star works in the ordinary basis only while the degrees of its two factors

@@ -1,33 +1,15 @@
 """Symmetric-function and Pochhammer symbols behind the product coefficients.
 
 Everything here is exact integer arithmetic.  The shifted symbol (a)^s_n is
-computed iteratively by its row recurrence, while ``elementary_symmetric``
-recomputes it by brute-force enumeration so the routes can be cross-checked.
-The vam3 identity lives in y and h, which commute, so both of its sides are
-plain coefficient lists.
+computed iteratively by its row recurrence; the tests recompute it by
+brute-force enumeration (``tests/reference_symbols.py``).  The vam3 identity
+lives in y and h, which commute, so both of its sides are plain coefficient
+lists.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-
-
-def elementary_symmetric(s: int, values: list[int]) -> int:
-    """Sum of all products of s distinct entries of ``values``.
-
-    This is the defining enumeration over s-subsets: 1 for s = 0 (empty
-    product), 0 for s > len(values).
-    """
-    if s < 0:
-        raise ValueError("subset size must be a natural number")
-    total = 0
-    for subset in combinations(values, s):
-        term = 1
-        for v in subset:
-            term *= v
-        total += term
-    return total
 
 
 # bounded, so that a long run keeps at most this many symbols alive; the
@@ -59,22 +41,6 @@ def falling_factorial(a: int, n: int) -> int:
     out = 1
     for i in range(n):
         out *= a - i
-    return out
-
-
-def pochhammer_k(a, n: int, k):
-    """The k-shifted product a(a+k)(a+2k)...(a+(n-1)k).
-
-    ``a`` and ``k`` may be integers or any commuting ring elements supporting
-    + and *, such as ``Element`` values over y and h.  n = 0 gives 1 by the
-    empty-product convention, which is what lets the shift recursions bottom
-    out.
-    """
-    out = 1
-    term = a
-    for _ in range(n):
-        out = out * term
-        term = term + k
     return out
 
 

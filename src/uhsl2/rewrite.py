@@ -23,11 +23,11 @@ inverted one goes through the memo of insertions, keyed on (normal word,
 letter).  ``normalize`` extends the empty word.
 
 ``oracle_star`` reads two runs of letters that ``extend`` fills, each
-memoized on its exponents, so a verification sweep pays once per key, not
-once per pair; its docstring gives the keys and why they are sound.  The
-insertion memo grows with the distinct normal words met, not with the
-rewrite branches, and ``extend`` empties it when it starts with more than
-``MEMO_BOUND`` entries; the run memos are bounded.  All memos live for the
+memoized on its exponents by an ``lru_cache`` of 1,024 runs, so a
+verification sweep pays once per key, not once per pair; its docstring gives
+the keys and why they are sound.  The insertion memo grows with the distinct
+normal words met, not with the rewrite branches, and ``extend`` empties it
+when it starts with more than ``MEMO_BOUND`` entries.  All memos live for the
 whole process and hold only normal forms.  Entries are never mutated, so
 concurrent callers at worst compute an entry twice.
 """
@@ -35,6 +35,7 @@ concurrent callers at worst compute an entry twice.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 from .algebra import Element, NormalMonomial
@@ -63,14 +64,6 @@ _RULES: dict[str, tuple[tuple[str, int], ...]] = {
 # extend empties it when it starts with more than MEMO_BOUND entries
 MEMO_BOUND = 1 << 16
 _MEMO: dict[tuple[FreeWord, str], WordSum] = {}
-
-# oracle_star's runs, as (exponents, coefficient) pairs: (b1, c1, a2) ->
-# N(Y^b1 Z^c1 X^a2) and (c, b2) -> N(Z^c Y^b2).  Exponents up to n meet
-# (n + 1)^3 and (n + 1)^2 keys, 125 and 25 at n = 4; each memo keeps the
-# 1,024 runs it filled last, so every key of exponents up to 9 stays warm.
-RUN_MEMO_BOUND = 1 << 10
-_YZX_RUNS: dict[tuple[int, int, int], tuple] = {}
-_ZY_RUNS: dict[tuple[int, int], tuple] = {}
 
 
 def _known(word: FreeWord, letter: str) -> WordSum | None:
@@ -183,14 +176,20 @@ def word_of_monomial(mono) -> FreeWord:
     return "X" * a + "Y" * b + "Z" * c + "H" * d
 
 
-def _run(memo: dict, key: tuple[int, ...], word: FreeWord, letters: str) -> tuple:
-    """The normal form of the normal ``word`` extended by ``letters``, as
-    (exponents, coefficient) pairs, memoized in ``memo`` under ``key``."""
-    if len(memo) >= RUN_MEMO_BOUND:
-        memo.pop(next(iter(memo)), None)
-    memo[key] = got = tuple((tuple(map(w.count, ALPHABET)), k)
-                            for w, k in extend({word: 1}, letters).items())
-    return got
+# oracle_star's two runs, N(Y^b1 Z^c1 X^a2) and N(Z^c Y^b2), as (exponents,
+# coefficient) pairs.  Exponents up to n meet (n + 1)^3 keys (b1, c1, a2) and
+# (n + 1)^2 keys (c, b2), 125 and 25 at n = 4; each cache keeps the 1,024
+# runs it used last, so every key of exponents up to 9 stays warm
+@lru_cache(maxsize=1 << 10)
+def _yzx_run(b1: int, c1: int, a2: int) -> tuple:
+    return tuple((tuple(map(w.count, ALPHABET)), k)
+                 for w, k in extend({"Y" * b1 + "Z" * c1: 1}, "X" * a2).items())
+
+
+@lru_cache(maxsize=1 << 10)
+def _zy_run(c: int, b2: int) -> tuple:
+    return tuple((tuple(map(w.count, ALPHABET)), k)
+                 for w, k in extend({"Z" * c: 1}, "Y" * b2).items())
 
 
 def oracle_star(m1, m2) -> Element:
@@ -210,28 +209,18 @@ def oracle_star(m1, m2) -> Element:
     divided by the factorials of the input exponents in one exact divmod:
     an int when the division is exact, a Fraction when a remainder is left,
     so a non-integral structure constant still shows.  The exponents are
-    checked as by ``mono_star_mono``, with the same ``TypeError`` and
-    ``ValueError``.
+    checked by ``NormalMonomial.checked``, as in ``mono_star_mono``.
     """
-    m1, m2 = NormalMonomial(*m1), NormalMonomial(*m2)
+    m1, m2 = NormalMonomial.checked(m1, m2)
     a1, b1, c1, d1 = m1
     a2, b2, c2, d2 = m2
-    den = 1
-    for e in m1 + m2:
-        if type(e) is not int:
-            raise TypeError(f"non-integer exponent in {tuple(m1)} * {tuple(m2)}")
-        if e < 0:
-            raise ValueError(f"negative exponent in {tuple(m1)} * {tuple(m2)}")
-        den *= factorial(e)
-    key, seconds = (b1, c1, a2), _ZY_RUNS
-    first = _YZX_RUNS.get(key) or _run(_YZX_RUNS, key, "Y" * b1 + "Z" * c1, "X" * a2)
+    den = prod(map(factorial, m1 + m2))
     plain: dict[tuple[int, int, int, int], int] = {}
     get = plain.get
-    for (a, b, c, d), k in first:
+    for (a, b, c, d), k in _yzx_run(b1, c1, a2):
         a += a1
         d += d1 + d2
-        key = (c, b2)
-        for (_, y, z, h), j in seconds.get(key) or _run(seconds, key, "Z" * c, "Y" * b2):
+        for (_, y, z, h), j in _zy_run(c, b2):
             out = (a, b + y, z + c2, d + h)
             plain[out] = get(out, 0) + k * j
     terms: dict[NormalMonomial, Fraction | int] = {}

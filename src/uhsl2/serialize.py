@@ -11,7 +11,7 @@ import json
 import re
 from fractions import Fraction
 
-from .algebra import Element
+from .algebra import Element, NormalMonomial
 
 
 def element_to_json(element: Element) -> str:
@@ -35,11 +35,9 @@ def element_from_json(text: str) -> Element:
     terms = {}
     for entry in data["terms"]:
         try:
-            mono, num, den = tuple(entry["m"]), entry["num"], entry["den"]
-        except (TypeError, KeyError) as exc:
+            mono, num, den = NormalMonomial.checked(entry["m"]), entry["num"], entry["den"]
+        except (TypeError, KeyError, ValueError) as exc:
             raise ValueError(f"malformed term {entry!r}: {exc}") from exc
-        if len(mono) != 4 or any(type(e) is not int or e < 0 for e in mono):
-            raise ValueError(f"malformed term {entry!r}: m must be 4 naturals")
         # a numerator and a nonzero denominator as element_to_json writes
         # them; int() would also read "+5", " 7 ", "1_000" and other scripts'
         # digits

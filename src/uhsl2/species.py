@@ -93,6 +93,9 @@ class DividedPower(FunctorSpec):
 
     def __init__(self, a: int, b: int, c: int, d: int):
         e = (a, b, c, d)
+        # the bitwise or of ints is negative when one of them is
+        if not (type(a) is type(b) is type(c) is type(d) is int and a | b | c | d >= 0):
+            NormalMonomial.checked(e)
         self.__dict__.update(a=a, b=b, c=c, d=d, exponents=e, lowest=e, highest=e)
 
     def __str__(self) -> str:

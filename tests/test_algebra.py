@@ -19,7 +19,7 @@ from reference_formula import (
     reference_mono_star,
     reference_star,
 )
-from uhsl2 import algebra, combinatorics, species
+from uhsl2 import algebra, combinatorics, rewrite, species
 from uhsl2.algebra import (
     ORDINARY_MAX_DEGREE,
     PACKED_MAX_BITS,
@@ -76,7 +76,7 @@ def random_element(rng, max_deg=3, n_terms=4, cap=None):
 
 class TestElementBasics:
     def test_zero_prunes(self):
-        assert Element({(1, 0, 0, 0): 0}).is_zero()
+        assert Element({(1, 0, 0, 0): 0}).terms == {}
 
     def test_rejects_inexact_coefficients(self):
         with pytest.raises(TypeError):
@@ -123,12 +123,12 @@ class TestElementBasics:
 
     def test_additive_inverse(self):
         f = Element({(1, 2, 0, 0): 3, (0, 0, 0, 2): Fraction(-1, 2)})
-        assert (f + (-f)).is_zero()
+        assert (f + (-f)).terms == {}
 
     def test_scalar_zero(self):
         f = Element({(1, 0, 0, 0): 5})
-        assert f.scale(0).is_zero()
-        assert f.scale(Fraction(0)).is_zero()
+        assert f.scale(0).terms == {}
+        assert f.scale(Fraction(0)).terms == {}
         # an inexact zero is refused as any inexact scalar is
         for inexact in (0.0, Decimal(0)):
             with pytest.raises(TypeError):
@@ -387,14 +387,34 @@ class TestKernelMemo:
 
     def test_every_module_cache_is_bounded(self):
         caches = {(module.__name__, name): value.cache_info().maxsize
-                  for module in (algebra, combinatorics, species)
+                  for module in (algebra, combinatorics, rewrite, species)
                   for name, value in vars(module).items()
                   if hasattr(value, "cache_info")}
         assert ("uhsl2.algebra", "_mono_star") in caches
+        assert ("uhsl2.rewrite", "_yzx_run") in caches
+        assert ("uhsl2.rewrite", "_zy_run") in caches
         assert ("uhsl2.combinatorics", "shifted_elem") in caches
         assert ("uhsl2.species", "ascending_maps_count") in caches
         assert ("uhsl2.species", "_choices") in caches
         assert all(size is not None for size in caches.values()), caches
+
+    def test_a_wrong_middle_shows_against_the_reference(self, monkeypatch):
+        # plant N(z x) = xz - 2yh (it is xz - yh) as the middle (b1, c1, a2,
+        # b2) = (0, 1, 1, 0): star reads it, while mono_star_mono and
+        # reference_star go through the unmemoized kernel and do not
+        real = algebra._mono_star
+        monkeypatch.setattr(algebra, "_mono_star", lambda *key: (
+            ((1,), (-2,)) if key == (0, 1, 1, 0) else real(*key)))
+        f = Element({(0, 0, 1, 0): 1, (0, 1, 0, 0): 3, (1, 0, 1, 1): Fraction(1, 2)})
+        g = Element({(1, 0, 0, 0): 2, (0, 0, 0, 1): -1, (2, 1, 0, 0): 5})
+        assert real(0, 1, 1, 0) == ((1,), (-1,))
+        assert star(f, g) != reference_star(f, g)
+        # the two pairs that read it, z * 2x and (x z h / 2) * 2x, are off
+        # by -2 y h and -x y h^2 in the ordinary basis
+        assert star(f, g) - reference_star(f, g) == Element({(0, 1, 0, 1): -2,
+                                                             (1, 1, 0, 2): -2})
+        assert mono_star_mono((0, 0, 1, 0), (1, 0, 0, 0)) == Element(
+            {(1, 0, 1, 0): 1, (0, 1, 0, 1): -1})
 
     @pytest.mark.parametrize("memo", ["cleared", "evicted"])
     def test_star_equals_reference(self, memo):

@@ -3,6 +3,7 @@ and a few through the real ``python -m uhsl2.cli`` entry point."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
@@ -10,19 +11,24 @@ import resource
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uhsl2
 from uhsl2 import cli, rewrite, species
 from uhsl2.algebra import Element
 from uhsl2.cli import main
 from uhsl2.expressions import (MAX_CAP, MAX_LITERAL_DIGITS, MAX_OUTPUT_DIGITS,
-                               MAX_PAIR_EXPONENTS, MAX_PAIRS, evaluate, parse)
+                               MAX_PAIR_EXPONENTS, MAX_PAIRS, DividedMono, Exp,
+                               Generator, Literal, Negate, StarProduct, Sum, evaluate,
+                               parse, to_text)
 from uhsl2.serialize import element_from_json, element_to_json
 
 
@@ -281,6 +287,46 @@ class TestStarCommand:
         assert "natural" in capsys.readouterr().err
 
 
+# grammar expressions with exponents <= 3, as to_text prints them
+_trees = st.recursive(
+    st.one_of(st.builds(Literal, st.fractions(max_denominator=9).map(abs)),
+              st.sampled_from("xyzh").map(Generator),
+              st.builds(DividedMono, *(st.integers(0, 3) for _ in range(4))),
+              st.sampled_from("xyzh").map(Exp)),
+    lambda inner: st.one_of(
+        st.builds(Sum, st.lists(inner, min_size=2, max_size=3).map(tuple)),
+        st.builds(StarProduct, st.lists(inner, min_size=2, max_size=3).map(tuple)),
+        st.builds(Negate, inner)),
+    max_leaves=8)
+_STRAY = "()+-*/,.^! xyzhmep0123456789_²٣"
+
+
+@st.composite
+def star_argv(draw):
+    """``star`` arguments: an expression, with up to two stray characters
+    put in, and a cap of none, 0, 3, 8, MAX_CAP or MAX_CAP + 1."""
+    text = to_text(draw(_trees))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_STRAY)) + text[at:]
+    cap = draw(st.sampled_from([None, 0, 3, 8, MAX_CAP, MAX_CAP + 1]))
+    return ["star", "--expr", text] + ([] if cap is None else ["--cap", str(cap)])
+
+
+# every input exits 0 or, with nothing on stdout, 2: never 1 (a mismatch) or
+# 3 (a fault), and within the deadline of each example
+@settings(max_examples=200, deadline=5000)
+@given(star_argv())
+def test_fuzzed_star_exits_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code == 0 or (code == 2 and not out.getvalue()), (code, err.getvalue())
+
+
 class TestCoeffCommand:
     def test_known_five_term_value(self, capsys):
         code, out, _ = run(capsys, "coeff", "--left", "0,0,2,0",
@@ -357,7 +403,9 @@ class TestVerifyCommand:
         # plant N(Z X) = XZ - 2YH (it is XZ - YH) as the run of (b1, c1, a2) =
         # (0, 1, 1); every pair that reads that run, and only those, mismatch
         wrong = (((1, 0, 1, 0), 1), ((0, 1, 0, 1), -2))
-        monkeypatch.setattr(rewrite, "_YZX_RUNS", {(0, 1, 1): wrong})
+        real = rewrite._yzx_run
+        monkeypatch.setattr(rewrite, "_yzx_run",
+                            lambda *key: wrong if key == (0, 1, 1) else real(*key))
         code, out, _ = run(capsys, "verify", "--max-exp", "1")
         assert code == 1
         assert "MISMATCH (0, 0, 1, 0) * (1, 0, 0, 0)\n" in out

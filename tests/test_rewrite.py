@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import factorial, prod
 
@@ -33,6 +34,14 @@ def inversions(word):
 
 def non_h_count(word):
     return sum(1 for c in word if c != "H")
+
+
+def fresh_runs(monkeypatch, maxsize=1 << 10):
+    """Give oracle_star two empty run caches of ``maxsize`` runs for the
+    test, so that the runs are filled again and no entry outlives it."""
+    for name in ("_yzx_run", "_zy_run"):
+        run = getattr(rewrite, name)
+        monkeypatch.setattr(rewrite, name, lru_cache(maxsize=maxsize)(run.__wrapped__))
 
 
 class TestRewriteStep:
@@ -165,8 +174,7 @@ class TestNormalize:
         assert rewrite.MEMO_BOUND == 1 << 16
         monkeypatch.setattr(rewrite, "MEMO_BOUND", 20)
         monkeypatch.setattr(rewrite, "_MEMO", {})
-        monkeypatch.setattr(rewrite, "_YZX_RUNS", {})
-        monkeypatch.setattr(rewrite, "_ZY_RUNS", {})
+        fresh_runs(monkeypatch)
         sizes = []
         for m1, m2 in product(product(range(3), repeat=4), repeat=2):
             if len(rewrite._MEMO) > 20:
@@ -206,7 +214,7 @@ class TestToElement:
         assert to_element({"XYZH": 5}) == Element({(1, 1, 1, 1): 5})
 
     def test_zero_sum(self):
-        assert to_element({}).is_zero()
+        assert to_element({}).terms == {}
 
     def test_rejects_non_normal_words(self):
         with pytest.raises(ValueError):
@@ -265,18 +273,19 @@ class TestOracleStar:
             {mono: Fraction(v, den) for mono, v in to_element(plain).terms.items()})
 
     def test_run_memos_are_bounded(self, monkeypatch):
-        # a run memo keeps the RUN_MEMO_BOUND = 1,024 runs it filled last:
-        # enough for the 1,000 keys (b1, c1, a2) of exponents up to 9.  Under
-        # a bound of 8, the 27 first keys of exponents up to 2 cycle through
-        # it and each product stays right
-        assert rewrite.RUN_MEMO_BOUND == 1024
-        monkeypatch.setattr(rewrite, "RUN_MEMO_BOUND", 8)
-        monkeypatch.setattr(rewrite, "_YZX_RUNS", {})
-        monkeypatch.setattr(rewrite, "_ZY_RUNS", {})
+        # a run cache keeps the 1,024 runs it used last: enough for the 1,000
+        # keys (b1, c1, a2) of exponents up to 9.  Under a bound of 8, the 27
+        # first keys of exponents up to 2 cycle through it and each product
+        # stays right
+        for run in (rewrite._yzx_run, rewrite._zy_run):
+            assert run.cache_info().maxsize == 1024
+        fresh_runs(monkeypatch, maxsize=8)
         monos = list(product(range(3), repeat=4))
         for m1, m2 in product(monos, repeat=2):
             assert oracle_star(m1, m2) == mono_star_mono(m1, m2)
-            assert len(rewrite._YZX_RUNS) <= 8 and len(rewrite._ZY_RUNS) <= 8
+        for run in (rewrite._yzx_run, rewrite._zy_run):
+            info = run.cache_info()
+            assert info.currsize == 8 < info.misses
 
     @pytest.mark.parametrize("slot", range(8))
     @pytest.mark.parametrize("bad", [-1, True, 1.0, Fraction(1), "1"])
@@ -295,8 +304,7 @@ class TestOracleStar:
         # z x^2, and the 2! of x^2/2! does not divide it; the run memos start
         # empty, so the runs are filled through the wrong insertion
         monkeypatch.setattr(rewrite, "_MEMO", {("Z", "X"): {"XZ": 1, "YH": -2}})
-        monkeypatch.setattr(rewrite, "_YZX_RUNS", {})
-        monkeypatch.setattr(rewrite, "_ZY_RUNS", {})
+        fresh_runs(monkeypatch)
         result = oracle_star((0, 0, 1, 0), (2, 0, 0, 0))
         assert result.terms == {(2, 0, 1, 0): 1, (1, 1, 0, 1): Fraction(-3, 2),
                                 (1, 0, 0, 2): -4}

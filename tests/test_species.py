@@ -94,6 +94,19 @@ class TestFunctorValue:
                      replace(spec)):
             assert twin == spec and vars(twin) == vars(spec)
 
+    @pytest.mark.parametrize("slot", range(4))
+    @pytest.mark.parametrize("bad, error", [(True, TypeError), (-1, ValueError),
+                                            (1.5, TypeError), ("1", TypeError)])
+    def test_exponents_are_checked_when_built(self, slot, bad, error):
+        # by the same rule, and in the same words, as a monomial of an Element
+        exponents = [1, 0, 2, 0]
+        exponents[slot] = bad
+        with pytest.raises(error) as built:
+            DividedPower(*exponents)
+        with pytest.raises(error) as element:
+            Element({tuple(exponents): 1})
+        assert str(built.value) == str(element.value)
+
     def test_bounds_are_data(self):
         assert (DividedPower(1, 0, 2, 0).lowest, DividedPower(1, 0, 2, 0).highest) == (
             (1, 0, 2, 0), (1, 0, 2, 0))
@@ -356,7 +369,7 @@ class TestValuation:
             assert valuation_element(Exponential(color), 4) == exp_series(color, 4)
 
     def test_truncation(self):
-        assert valuation_element(DividedPower(3, 3, 0, 0), 4).is_zero()
+        assert valuation_element(DividedPower(3, 3, 0, 0), 4).terms == {}
 
 
 class TestCoefficientCheck:
