@@ -366,8 +366,10 @@ class Element:
         return self + (-other)
 
     def scale(self, q) -> "Element":
-        """Multiply every coefficient by the exact rational q."""
-        return Element({k: v * q for k, v in self.terms.items()}, self.cap)
+        """``star(self, Element({UNIT: q}))``, the product with the scalar q;
+        a q that is not an int or a Fraction, ``bool`` included, is a
+        ``TypeError``."""
+        return star(self, Element({UNIT: q}))
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -470,16 +472,26 @@ def star(f: Element, g: Element) -> Element:
     addition.  Each output term is brought back to the divided basis once,
     by its a! b! c! d!, and divided by the product of the two denominators:
     when both factors' coefficients are integral the product's are ``int``s,
-    otherwise ``Fraction``s.  The product is graded, so a shared degree cap
-    commutes with truncation: a pair of groups whose lowest degrees pass the
-    cap is skipped before its middle is read, and members, sorted by degree,
-    stop at the first pair that passes it.  A product whose factors' degrees
-    sum to more than ``ORDINARY_MAX_DEGREE`` is summed pair by pair instead,
-    and leaves the memo alone.
+    otherwise ``Fraction``s.  A factor that holds only the unit monomial is a
+    scalar: the other factor's terms within the cap are scaled by it, without
+    the kernel, over the same product of denominators.  The product is
+    graded, so a shared degree cap commutes with truncation: a pair of groups
+    whose lowest degrees pass the cap is skipped before its middle is read,
+    and members, sorted by degree, stop at the first pair that passes it.  A
+    product whose factors' degrees sum to more than ``ORDINARY_MAX_DEGREE`` is
+    summed pair by pair instead, and leaves the memo alone.
     """
     cap = _combine_caps(f.cap, g.cap)
     if not f.terms or not g.terms:
         return Element._built({}, cap)
+    if UNIT in g.terms and len(g.terms) == 1:
+        f, g = g, f  # a scalar commutes with everything
+    if UNIT in f.terms and len(f.terms) == 1:
+        q = f.terms[UNIT]
+        den, right = _over_common_denominator(g)
+        den *= q.denominator
+        return Element._built({m: n * q.numerator if den == 1 else Fraction(n * q.numerator, den)
+                               for m, deg, n in right if cap is None or deg <= cap}, cap)
     top = max(m.degree for m in f.terms) + max(m.degree for m in g.terms)
     if top > ORDINARY_MAX_DEGREE:
         return _pairwise_star(f, g, cap)

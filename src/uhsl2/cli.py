@@ -11,6 +11,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 3 internal error (any other exception, reported in one line on stderr).
+argparse exits 2 on a malformed command line itself; every other exit code is
+mapped in ``main``: a command returns 0 or 1, or raises ``ParseError`` or
+``EvalError`` (2, as ``parse error: ...`` or ``error: ...`` on stderr), and
+any other exception is 3.
 """
 
 from __future__ import annotations
@@ -88,16 +92,9 @@ def _functor(text: str) -> FunctorSpec:
 
 
 def cmd_star(args) -> int:
-    try:
-        # nothing holds the syntax tree once evaluate returns
-        element = evaluate(parse(args.expr), args.cap)
-        check_output_digits(element)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # nothing holds the syntax tree once evaluate returns
+    element = evaluate(parse(args.expr), args.cap)
+    check_output_digits(element)
     if args.format == "json":
         print(element_to_json(element))
     else:
@@ -106,11 +103,7 @@ def cmd_star(args) -> int:
 
 
 def cmd_coeff(args) -> int:
-    try:
-        check_pair_exponents([args.left], [args.right])
-    except EvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    check_pair_exponents([args.left], [args.right])
     print(algebra.structural_coefficient(args.left, args.right, args.out))
     return EXIT_OK
 
@@ -120,8 +113,7 @@ def cmd_verify(args) -> int:
 
     top = args.max_exp
     if top > MAX_VERIFY_EXP:
-        print(f"error: --max-exp must be at most {MAX_VERIFY_EXP}", file=sys.stderr)
-        return EXIT_USAGE
+        raise EvalError(f"--max-exp must be at most {MAX_VERIFY_EXP}")
     monos = list(product(range(top + 1), repeat=4))
     pairs = mismatches = violations = 0
     for m1 in monos:
@@ -145,8 +137,7 @@ def cmd_species(args) -> int:
     from . import species
 
     if args.max_total > MAX_SPECIES_TOTAL:
-        print(f"error: --max-total must be at most {MAX_SPECIES_TOTAL}", file=sys.stderr)
-        return EXIT_USAGE
+        raise EvalError(f"--max-total must be at most {MAX_SPECIES_TOTAL}")
     report = species.species_coefficient_check(args.left, args.right, args.max_total)
     for miss in report.mismatches:
         print(f"MISMATCH at sizes {miss.sizes}: species {miss.species_count}, "
@@ -219,7 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_star = sub.add_parser("star", help="evaluate an expression")
-    p_star.add_argument("--expr", required=True)
+    p_star.add_argument("--expr", required=True,
+                        help="the expression; one that starts with '-' and has no "
+                             "space must be given as --expr=-x")
     p_star.add_argument("--cap", type=_natural, default=None,
                         help="degree cap (required for exp(...))")
     p_star.add_argument("--format", choices=("json", "pretty"), default="pretty")
@@ -252,6 +245,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except EvalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:  # a fault of the program, never a mismatch (exit 1)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

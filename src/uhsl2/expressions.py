@@ -21,17 +21,17 @@ not a list of tokens.
 
 ``exp(...)`` only evaluates under an explicit degree cap, and ``evaluate``
 accepts caps up to ``MAX_CAP`` and expands at most ``MAX_PAIRS`` monomial
-pairs over all its products.  A product with a scalar factor, one that holds
-only the unit monomial, scales the other factor without the kernel; it gives
-the terms and coefficient types ``star`` gives, and counts its pairs as any
-other product does.  ``Sum`` and ``StarProduct`` are n-ary (``a * b * c`` is
-one node of three factors), so parse, print and evaluate loop over operands
-and recurse only at parentheses and unary minus.  Those nest at most
-``MAX_NESTING`` deep; deeper input is a ``ParseError``, before any recursion
-can reach the interpreter's limit.  ``check_output_digits`` refuses a result
-with a numerator or a denominator of more than ``MAX_OUTPUT_DIGITS`` digits,
-which ``str`` would not print.  ``repr``, ``==`` and ``hash`` read a tree from
-one walk with an explicit stack, at any depth.
+pairs over all its products.  Every product goes through ``star``; one with
+a scalar factor, which holds only the unit monomial, is scaled there without
+the kernel, and counts its pairs as any other product does.  ``Sum`` and
+``StarProduct`` are n-ary (``a * b * c`` is one node of three factors), so
+parse, print and evaluate loop over operands and recurse only at parentheses
+and unary minus.  Those nest at most ``MAX_NESTING`` deep; deeper input is a
+``ParseError``, before any recursion can reach the interpreter's limit.
+``check_output_digits`` refuses a result with a numerator or a denominator of
+more than ``MAX_OUTPUT_DIGITS`` digits, which ``str`` would not print.
+``repr``, ``==`` and ``hash`` read a tree from one walk with an explicit
+stack, at any depth.
 The node classes are plain immutable classes with ``__slots__`` and a
 ``_fields`` tuple, not dataclasses, so that a ``uhsl2 star`` process does not
 import ``dataclasses`` and ``inspect`` to start.
@@ -42,9 +42,8 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from fractions import Fraction
-from math import lcm
 
-from .algebra import COLORS, UNIT, Element, NormalMonomial, exp_series, star
+from .algebra import COLORS, Element, NormalMonomial, exp_series, star
 
 
 class ParseError(ValueError):
@@ -433,19 +432,6 @@ def evaluate(node: Expression, cap: int | None = None) -> Element:
     return _evaluate(node, cap, [MAX_PAIRS])
 
 
-def _scaled(f: Element, scalar: Fraction | int) -> Element:
-    """``f`` times a scalar, as ``star`` gives a product with ``scalar`` times
-    the unit: every coefficient is an ``int`` when ``scalar`` and all of
-    ``f``'s coefficients are integral, and a ``Fraction`` otherwise."""
-    num = scalar.numerator
-    den_f = lcm(*(v.denominator for v in f.terms.values()))
-    den = scalar.denominator * den_f
-    if den == 1:
-        return Element._built({m: num * v.numerator for m, v in f.terms.items()}, f.cap)
-    return Element._built({m: Fraction(num * v.numerator * (den_f // v.denominator), den)
-                           for m, v in f.terms.items()}, f.cap)
-
-
 def _evaluate(node: Expression, cap: int | None, budget: list[int]) -> Element:
     """``evaluate`` after its cap check; ``budget[0]`` holds the monomial
     pairs the call may still expand."""
@@ -476,12 +462,7 @@ def _evaluate(node: Expression, cap: int | None, budget: list[int]) -> Element:
                 raise EvalError(f"the products expand more than {MAX_PAIRS} "
                                 f"monomial pairs")
             check_pair_exponents(product.terms, right.terms)
-            if UNIT in right.terms and len(right.terms) == 1:
-                product = _scaled(product, right.terms[UNIT])
-            elif UNIT in product.terms and len(product.terms) == 1:
-                product = _scaled(right, product.terms[UNIT])
-            else:
-                product = star(product, right)
+            product = star(product, right)
         return product
     if isinstance(node, Negate):
         return -_evaluate(node.operand, cap, budget)

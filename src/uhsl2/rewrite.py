@@ -22,8 +22,8 @@ A letter that does not invert the boundary pair is appended in place; an
 inverted one goes through the memo of insertions, keyed on (normal word,
 letter).  ``normalize`` extends the empty word.
 
-``oracle_star`` reads two runs of letters that ``extend`` fills, each
-memoized on its exponents by an ``lru_cache`` of 1,024 runs, so a
+``oracle_star`` reads two runs of letters that ``extend`` fills, both
+memoized on their exponents by one ``lru_cache`` of 2,048 runs, so a
 verification sweep pays once per key, not once per pair; its docstring gives
 the keys and why they are sound.  The insertion memo grows with the distinct
 normal words met, not with the rewrite branches, and ``extend`` empties it
@@ -176,34 +176,29 @@ def word_of_monomial(mono) -> FreeWord:
     return "X" * a + "Y" * b + "Z" * c + "H" * d
 
 
-# oracle_star's two runs, N(Y^b1 Z^c1 X^a2) and N(Z^c Y^b2), as (exponents,
-# coefficient) pairs.  Exponents up to n meet (n + 1)^3 keys (b1, c1, a2) and
-# (n + 1)^2 keys (c, b2), 125 and 25 at n = 4; each cache keeps the 1,024
+# a run N(Y^b Z^c letter^n) as (exponents, coefficient) pairs.  oracle_star
+# reads the keys (b1, c1, "X", a2) and (0, c, "Y", b2): exponents up to n meet
+# (n + 1)^3 + (n + 1)^2 of them, 150 at n = 4, and the cache keeps the 2,048
 # runs it used last, so every key of exponents up to 9 stays warm
-@lru_cache(maxsize=1 << 10)
-def _yzx_run(b1: int, c1: int, a2: int) -> tuple:
+@lru_cache(maxsize=1 << 11)
+def _run(b: int, c: int, letter: str, n: int) -> tuple:
     return tuple((tuple(map(w.count, ALPHABET)), k)
-                 for w, k in extend({"Y" * b1 + "Z" * c1: 1}, "X" * a2).items())
-
-
-@lru_cache(maxsize=1 << 10)
-def _zy_run(c: int, b2: int) -> tuple:
-    return tuple((tuple(map(w.count, ALPHABET)), k)
-                 for w, k in extend({"Z" * c: 1}, "Y" * b2).items())
+                 for w, k in extend({"Y" * b + "Z" * c: 1}, letter * n).items())
 
 
 def oracle_star(m1, m2) -> Element:
     """Star product of two divided monomials via plain-word rewriting.
 
     The plain word ``X^a1 Y^b1 Z^c1 H^d1 X^a2 Y^b2 Z^c2 H^d2`` is rewritten
-    from two memoized runs: ``N(Y^b1 Z^c1 X^a2)``, keyed (b1, c1, a2), then
-    ``N(Z^c Y^b2)``, keyed (c, b2), for each word ``X^a Y^b Z^c H^d`` of the
-    first; each pair of run words gives ``X^(a1+a) Y^(b+b') Z^(c'+c2)
-    H^(d+d'+d1+d2)``.  By ``N(u v w) = N(u N(v) w)`` this is the normal form
-    of the whole word, since leftmost rewriting never touches a leading run
-    of letters that rank at or below the letter appended (X^a1, then Y^b),
-    H is central with rules of coefficient 1 that make no other letter, and
-    an appended Z (of Z^c2) passes only H.
+    from two memoized runs: ``N(Y^b1 Z^c1 X^a2)``, keyed (b1, c1, "X", a2),
+    then ``N(Z^c Y^b2)``, keyed (0, c, "Y", b2), for each word
+    ``X^a Y^b Z^c H^d`` of the first; each pair of run words gives
+    ``X^(a1+a) Y^(b+b') Z^(c'+c2) H^(d+d'+d1+d2)``.  By
+    ``N(u v w) = N(u N(v) w)`` this is the normal form of the whole word,
+    since leftmost rewriting never touches a leading run of letters that
+    rank at or below the letter appended (X^a1, then Y^b), H is central with
+    rules of coefficient 1 that make no other letter, and an appended Z (of
+    Z^c2) passes only H.
 
     Each normal word's coefficient is scaled to the divided basis and
     divided by the factorials of the input exponents in one exact divmod:
@@ -217,10 +212,10 @@ def oracle_star(m1, m2) -> Element:
     den = prod(map(factorial, m1 + m2))
     plain: dict[tuple[int, int, int, int], int] = {}
     get = plain.get
-    for (a, b, c, d), k in _yzx_run(b1, c1, a2):
+    for (a, b, c, d), k in _run(b1, c1, "X", a2):
         a += a1
         d += d1 + d2
-        for (_, y, z, h), j in _zy_run(c, b2):
+        for (_, y, z, h), j in _run(0, c, "Y", b2):
             out = (a, b + y, z + c2, d + h)
             plain[out] = get(out, 0) + k * j
     terms: dict[NormalMonomial, Fraction | int] = {}

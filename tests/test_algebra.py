@@ -23,6 +23,7 @@ from uhsl2 import algebra, combinatorics, rewrite, species
 from uhsl2.algebra import (
     ORDINARY_MAX_DEGREE,
     PACKED_MAX_BITS,
+    UNIT,
     Element,
     IntegralityViolation,
     NormalMonomial,
@@ -32,6 +33,7 @@ from uhsl2.algebra import (
     _mono_star,
     _packed_size,
     _packed_weights,
+    _pairwise_star,
     exp_series,
     mono_star_mono,
     normal_order_yx,
@@ -91,6 +93,10 @@ class TestElementBasics:
         for flag in (True, False):
             with pytest.raises(TypeError, match="is not an int or a Fraction"):
                 Element({(1, 0, 0, 0): flag})
+            # a scalar is the element flag * 1, which Element refuses
+            for scaled in (lambda f: f.scale(flag), lambda f: f * flag, lambda f: flag * f):
+                with pytest.raises(TypeError, match="is not an int or a Fraction"):
+                    scaled(X1)
 
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
@@ -137,6 +143,11 @@ class TestElementBasics:
     def test_scalar_two(self):
         assert Element.monomial((1, 0, 0, 0)).scale(2) == Element({(1, 0, 0, 0): 2})
         assert 2 * X1 == X1 + X1
+        # an integral scalar times integral coefficients gives ints, as star does
+        for scaled in (Element({(1, 0, 0, 0): 3}).scale(Fraction(4, 2)),
+                       Element({(1, 0, 0, 0): 3}) * Fraction(2), Fraction(2) * X1.scale(3)):
+            assert scaled.terms == {(1, 0, 0, 0): 6}
+            assert type(scaled.coefficient((1, 0, 0, 0))) is int
 
     def test_cap_truncates_on_construction(self):
         f = Element({(1, 0, 0, 0): 1, (2, 2, 0, 0): 1}, cap=2)
@@ -391,8 +402,7 @@ class TestKernelMemo:
                   for name, value in vars(module).items()
                   if hasattr(value, "cache_info")}
         assert ("uhsl2.algebra", "_mono_star") in caches
-        assert ("uhsl2.rewrite", "_yzx_run") in caches
-        assert ("uhsl2.rewrite", "_zy_run") in caches
+        assert ("uhsl2.rewrite", "_run") in caches
         assert ("uhsl2.combinatorics", "shifted_elem") in caches
         assert ("uhsl2.species", "ascending_maps_count") in caches
         assert ("uhsl2.species", "_choices") in caches
@@ -805,6 +815,34 @@ def grouped_factors(draw, cap):
     terms = draw(st.dictionaries(st.sampled_from(GROUPED_MONOS), COEFFICIENTS[kind],
                                  max_size=8))
     return Element(terms, cap)
+
+
+class TestScalars:
+    """A factor that holds only the unit monomial is a scalar: star scales the
+    other factor by it without the kernel, and Element.scale is that product."""
+
+    def test_a_cap_from_the_scalar_alone(self):
+        f = Element({(5, 0, 0, 0): Fraction(1, 2), (1, 0, 0, 0): 3})
+        for product in (star(f, Element({UNIT: 2}, cap=3)), star(Element({UNIT: 2}, cap=3), f)):
+            assert product == reference_star(f, Element({UNIT: 2}, cap=3))
+            assert product.terms == {(1, 0, 0, 0): 6}
+            assert product.cap == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["int", "fraction", "integral_fraction"]),
+           cap=st.sampled_from([None, 0, 2, 4]))
+    def test_scale_is_the_product_with_the_unit(self, data, kind, cap):
+        f = data.draw(factors(COEFFICIENTS["mixed"], cap))
+        q = data.draw(COEFFICIENTS[kind])
+        unit = Element({UNIT: q})
+        scaled = f.scale(q)
+        assert scaled == reference_star(f, unit) == q * f == f * q == star(unit, f)
+        assert scaled.cap == cap
+        # the types of star's route for any other pair of factors
+        typed = {m: (type(v), v) for m, v in scaled.terms.items()}
+        assert typed == {m: (type(v), v) for m, v in _pairwise_star(f, unit, cap).terms.items()}
+        expected = int if integral(f) and q.denominator == 1 else Fraction
+        assert all(type(v) is expected for v in scaled.terms.values())
 
 
 class TestMiddleProducts:

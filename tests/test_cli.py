@@ -280,6 +280,19 @@ class TestStarCommand:
         }
         assert not {"dataclasses", "inspect"} & set(loaded)
 
+    @pytest.mark.parametrize("argv, stdout", [(["--expr=-x"], "-x\n"),
+                                              (["--expr", "- x"], "-x\n"),
+                                              (["--expr", "-2 * x + y"], "y - 2 x\n")])
+    def test_a_leading_minus(self, capsys, argv, stdout):
+        assert run(capsys, "star", *argv) == (0, stdout, "")
+
+    def test_a_leading_minus_with_no_space_is_read_as_an_option(self, capsys):
+        # argparse takes "-x" for an option, so --expr has no value
+        with pytest.raises(SystemExit) as err:
+            main(["star", "--expr", "-x"])
+        assert err.value.code == 2
+        assert "argument --expr: expected one argument" in capsys.readouterr().err
+
     def test_negative_cap_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["star", "--expr", "exp(x)", "--cap", "-1"])
@@ -400,12 +413,13 @@ class TestVerifyCommand:
         assert "256 monomial pairs with exponents <= 1: 1 mismatches" in out
 
     def test_wrong_run_memo_entry_is_a_mismatch(self, capsys, monkeypatch):
-        # plant N(Z X) = XZ - 2YH (it is XZ - YH) as the run of (b1, c1, a2) =
-        # (0, 1, 1); every pair that reads that run, and only those, mismatch
+        # plant N(Z X) = XZ - 2YH (it is XZ - YH) as the run of (b1, c1, "X",
+        # a2) = (0, 1, "X", 1); every pair that reads that run, and only
+        # those, mismatch
         wrong = (((1, 0, 1, 0), 1), ((0, 1, 0, 1), -2))
-        real = rewrite._yzx_run
-        monkeypatch.setattr(rewrite, "_yzx_run",
-                            lambda *key: wrong if key == (0, 1, 1) else real(*key))
+        real = rewrite._run
+        monkeypatch.setattr(rewrite, "_run",
+                            lambda *key: wrong if key == (0, 1, "X", 1) else real(*key))
         code, out, _ = run(capsys, "verify", "--max-exp", "1")
         assert code == 1
         assert "MISMATCH (0, 0, 1, 0) * (1, 0, 0, 0)\n" in out
@@ -525,6 +539,7 @@ README_COMMANDS = [
      "- 2 x h^2 / (2!) + x z - 4 x z h^2 / (2!) + x z^2 / (2!) + x z^3 / (3!) - x y h "
      "- x y z h + x^2 / (2!) - 4 x^2 h^2 / (2! 2!) + x^2 z / (2!) + x^2 z^2 / (2! 2!) "
      "- x^2 y h / (2!) + x^3 / (3!) + x^3 z / (3!) + x^4 / (4!)\n"),
+    (["star", "--expr=-x"], "-x\n"),
     (["coeff", "--left", "0,0,2,0", "--right", "2,0,0,0", "--out", "0,1,0,3"], "3\n"),
     (["verify", "--max-exp", "2"],
      "verified 6561 monomial pairs with exponents <= 2: 0 mismatches, "

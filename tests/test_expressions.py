@@ -588,8 +588,9 @@ def _typed(f: Element) -> dict:
 
 
 class TestScalarFactors:
-    """evaluate scales a factor by a scalar without star, and must give what
-    star gives: the same terms, cap and coefficient types."""
+    """evaluate multiplies a scalar factor through star, as any other factor:
+    it must give what star gives on the evaluated factors, with the same
+    terms, cap and coefficient types."""
 
     SCALARS = [1, -1, 3, -2, Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3),
                Fraction(4, 2)]
@@ -619,7 +620,7 @@ class TestScalarFactors:
                 assert got.cap == expected.cap == cap
 
     def test_an_integral_scalar_gives_ints(self):
-        # Element.scale would give Fraction(2) here, where star gives 2
+        # star gives 2 here, an int, as Element.scale and 4/2 * f do
         for text in ("2 * m(1,0,0,0)", "m(1,0,0,0) * 2", "4/2 * x * y"):
             assert all(type(v) is int for v in evaluate(parse(text)).terms.values())
         assert _typed(evaluate(parse("1/2 * (x + 2 * y)"))) == {

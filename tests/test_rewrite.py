@@ -36,12 +36,10 @@ def non_h_count(word):
     return sum(1 for c in word if c != "H")
 
 
-def fresh_runs(monkeypatch, maxsize=1 << 10):
-    """Give oracle_star two empty run caches of ``maxsize`` runs for the
-    test, so that the runs are filled again and no entry outlives it."""
-    for name in ("_yzx_run", "_zy_run"):
-        run = getattr(rewrite, name)
-        monkeypatch.setattr(rewrite, name, lru_cache(maxsize=maxsize)(run.__wrapped__))
+def fresh_runs(monkeypatch, maxsize=1 << 11):
+    """Give oracle_star an empty run cache of ``maxsize`` runs for the test,
+    so that the runs are filled again and no entry outlives it."""
+    monkeypatch.setattr(rewrite, "_run", lru_cache(maxsize=maxsize)(rewrite._run.__wrapped__))
 
 
 class TestRewriteStep:
@@ -273,19 +271,17 @@ class TestOracleStar:
             {mono: Fraction(v, den) for mono, v in to_element(plain).terms.items()})
 
     def test_run_memos_are_bounded(self, monkeypatch):
-        # a run cache keeps the 1,024 runs it used last: enough for the 1,000
-        # keys (b1, c1, a2) of exponents up to 9.  Under a bound of 8, the 27
-        # first keys of exponents up to 2 cycle through it and each product
-        # stays right
-        for run in (rewrite._yzx_run, rewrite._zy_run):
-            assert run.cache_info().maxsize == 1024
+        # the run cache keeps the 2,048 runs it used last: enough for the
+        # 1,000 keys (b1, c1, "X", a2) and 100 keys (0, c, "Y", b2) of
+        # exponents up to 9.  Under a bound of 8, the 27 + 9 keys of exponents
+        # up to 2 cycle through it and each product stays right
+        assert rewrite._run.cache_info().maxsize == 2048
         fresh_runs(monkeypatch, maxsize=8)
         monos = list(product(range(3), repeat=4))
         for m1, m2 in product(monos, repeat=2):
             assert oracle_star(m1, m2) == mono_star_mono(m1, m2)
-        for run in (rewrite._yzx_run, rewrite._zy_run):
-            info = run.cache_info()
-            assert info.currsize == 8 < info.misses
+        info = rewrite._run.cache_info()
+        assert info.currsize == 8 < info.misses
 
     @pytest.mark.parametrize("slot", range(8))
     @pytest.mark.parametrize("bad", [-1, True, 1.0, Fraction(1), "1"])
