@@ -306,9 +306,11 @@ class Element:
                 raise TypeError(f"coefficient {val!r} is not an int or a Fraction")
             if not val:
                 continue
-            # the library's own keys are NormalMonomials, whose types go unchecked
-            mono = (key if isinstance(key, NormalMonomial) and min(key) >= 0
-                    else NormalMonomial.checked(key))
+            # a NormalMonomial of ints >= 0, as the library builds, skips the call
+            a, b, c, d = mono = (key if key.__class__ is NormalMonomial
+                                 else NormalMonomial.checked(key))
+            if not (type(a) is type(b) is type(c) is type(d) is int and a | b | c | d >= 0):
+                mono = NormalMonomial.checked(key)
             if cap is not None and mono.degree > cap:
                 continue
             clean[mono] = val
@@ -374,11 +376,12 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             return star(self, other)
-        return self.scale(other)
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
 
-    def __rmul__(self, other):
-        # scalars commute with everything; Element * Element goes via __mul__
-        return self.scale(other)
+    # scalars commute with everything; Element * Element goes via __mul__
+    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -46,11 +46,11 @@ EXIT_INTERNAL = 3
 # 1.6-2.9 s and 17 MB; the 390,625 at n = 4 take 16.7-16.9 s, so n stops at 3
 MAX_VERIFY_EXP = 3
 
-# species counts each distinct choice of labels once and ascending_maps_count
-# row by row, so its cost is the profile walk.  At total 20, exp(z) * exp(x)
-# takes 0.36-0.59 s of CLI wall time (4.6-7.9 s when the maps were counted
-# one by one), and the costliest pair measured, exp(y) * exp(y) over every
-# pair of exponentials, 0.49-0.71 s (2 cores, Python 3.11)
+# species counts choices of labels and ascending maps row by row, so its cost
+# is the profile walk.  At total 20 the costliest pair measured over every
+# pair of exponentials, exp(z) * exp(z), takes 0.26-0.29 s of CLI wall time;
+# exp(z) * exp(x) 0.21-0.24 s and exp(y) * exp(y) 0.19-0.21 s (2 cores,
+# Python 3.11)
 MAX_SPECIES_TOTAL = 20
 
 

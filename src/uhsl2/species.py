@@ -9,30 +9,24 @@ y in three, z in two, h in six blocks, subject to |y3| + |h4| = |h3|.  The
 count must agree with the corresponding coefficient of the algebraic product,
 which ``species_coefficient_check`` verifies size tuple by size tuple.
 
-The count runs in two stages.  The block-size profiles are enumerated
-first, in integers: the walk runs over the eight argument sizes the two
-functors see, each drawn from the functor's slot sizes, and these fix every
-block but h5 and h6, the only two sizes left free.  A size tuple below the
-lowest sizes the two functors accept is refused by integer comparisons
-before the walk starts; most size tuples of a check are.  Then, for each
-profile, the labels of each color are dealt into its blocks one block at a
-time: the labels of a block are chosen out of those the earlier blocks
-left, and the choices are enumerated with ``combinations`` and counted one
-by one.  So the multinomial factors of the algebraic formula are never
-inserted by hand; they emerge as the number of labelled assignments sharing
-a profile.  A choice's count depends only on the number of labels and the
-block size, so each distinct choice is enumerated once and its count kept
-in a bounded memo.  ``ascending_maps_count`` counts its maps row by row, by
-a recursion in the number of rows.
+The count runs in two stages.  ``_profiles`` walks the block-size profiles
+in integers, over six free sizes; most size tuples of a check fall below the
+lowest sizes the two functors accept and are refused before the walk.  Then
+the labels of each color are dealt into a profile's blocks one block at a
+time, each block's labels chosen out of those the earlier blocks left.  So
+the multinomial factors of the algebraic formula are never inserted by hand;
+they emerge as the number of labelled assignments sharing a profile.  Both
+a block's choices and the ascending maps are counted by ``_placements``, row
+by row, and kept in bounded memos.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import factorial
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import COLORS, Element, NormalMonomial, star
 
@@ -127,6 +121,22 @@ class Exponential(FunctorSpec):
         return f"exp({self.color})"
 
 
+def _placements(rows: Iterable[int], k: int) -> int:
+    """Ways to put k dots on rows of the given lengths, at most one per row.
+
+    Counted row by row: a placement either leaves the last row empty or puts
+    a dot in one of its cells, so each row adds its length times the
+    placements of one dot fewer on the rows before it.  A loop, not a
+    recursion, so the number of rows is not limited by the recursion depth.
+    """
+    # counts[j]: placements of j dots on the rows added so far
+    counts = [1] + [0] * k
+    for i, length in enumerate(rows):
+        for j in range(min(i + 1, k), 0, -1):
+            counts[j] += length * counts[j - 1]
+    return counts[k]
+
+
 # base, m and k are the sizes of the disjoint blocks z1 + x2, h3 and h4, so a
 # species check up to total T meets at most C(T + 3, 3) keys: 1,771 at T = 20
 @lru_cache(maxsize=1 << 11)
@@ -136,34 +146,22 @@ def ascending_maps_count(base: int, m: int, k: int) -> int:
 
     Equivalently, placements of k dots on the staircase tableau with those row
     lengths, at most one per row.  Conventions: 1 for m = k = 0 (the empty
-    map), 0 for m = 0 < k.  The maps are counted row by row: a map either
-    leaves the last row empty or puts its last dot in one of that row's
-    base + m - 1 cells, so
-    A(base, m, k) = A(base, m - 1, k) + (base + m - 1) A(base, m - 1, k - 1).
-    The rows are added in a loop, so m is not limited by the recursion depth.
+    map), 0 for m = 0 < k.
     """
     if base < 0:
         raise ValueError("component sizes must be natural numbers")
     if k < 0:
         raise ValueError("the number of dots must be a natural number")
-    # counts[j]: maps of j dots into the rows added so far
-    counts = [1] + [0] * k
-    for row in range(m):
-        for j in range(min(row + 1, k), 0, -1):
-            counts[j] += (base + row) * counts[j - 1]
-    return counts[k]
+    return _placements(range(base, base + m), k)
 
 
 # one key (n, k) with k <= n <= T for each block a check up to total T deals,
 # (T + 1)(T + 2) / 2 keys: 231 at T = 20
 @lru_cache(maxsize=1 << 9)
 def _choices(n: int, k: int) -> int:
-    """Ways to choose the k labels of one block out of n, enumerated with
-    ``combinations`` and counted one by one."""
-    count = 0
-    for _ in combinations(range(n), k):
-        count += 1
-    return count
+    """Ways to choose the k labels of one block out of n: k dots on n rows of
+    one cell, as a choice either holds the last label or does not."""
+    return _placements((1,) * n, k)
 
 
 def star_species(F: FunctorSpec, G: FunctorSpec, sizes: ColoredSizes | Sequence[int]) -> int:
@@ -177,15 +175,11 @@ def star_species(F: FunctorSpec, G: FunctorSpec, sizes: ColoredSizes | Sequence[
              (2|x2|)^|h5| (2|z1|)^|h6| |y3|! |h4|!
              ascending_maps_count(|z1|+|x2|, |y3|+|h4|, |h4|).
 
-    The contribution depends only on the block sizes, so the count runs in
-    two stages.  ``_profiles`` enumerates the block-size profiles with a
-    nonzero contribution in integers, from the eight argument sizes of F and
-    G and the two free sizes |h5| and |h6|.  Then, for each profile, the
-    labels of each color are dealt into its blocks one block at a time: the
-    labels of a block are chosen out of those the earlier blocks left, so a
-    deal's count is the product of its blocks' ``_choices``.  A choice's
-    count depends only on the two numbers, so each is enumerated once and
-    memoized.
+    The contribution depends only on the block sizes, so ``_profiles``
+    walks the profiles with a nonzero one, and the labels of each color are
+    dealt into a profile's blocks one block at a time, each block's labels
+    chosen out of those the earlier blocks left: a deal's count is the
+    product of its blocks' ``_choices``.
     """
     nx, ny, nz, nh = sizes
     total = 0
@@ -203,12 +197,12 @@ def _profiles(F: FunctorSpec, G: FunctorSpec, sizes: Sequence[int]) -> Iterator[
 
     Yields the weight and the block sizes of each color: (x1, x2),
     (y1, y2, y3), (z2, z1) and (h3, h1, h2, h5, h6, h4).  The walk runs over
-    the eight argument sizes of the two functors, each drawn from its slot
-    sizes, so both functor values are 1.  They fix x1, x2, z1, z2, h1, h2
-    and t = |h3|, which must be the same from either side.  Only |h5| and
-    |h6| stay free: |h5| is 0 when x2 is empty, where (2|x2|)^|h5| vanishes
-    otherwise, and |h6| is 0 when z1 is empty.  Then |h4| takes what is left
-    of h and |y3| = t - |h4|.
+    six free sizes, each in its functor's slot range: x1, F's y and z sizes,
+    h1, z2 and h2.  They fix x2, z1 and t = |h3|, and so G's x size x2 + t
+    and y size ny + nh - (F's y) - 2t - h1 - h2, each kept only within G's
+    slot range, so both functor values are 1.  Then |h5| is 0 when x2 is
+    empty, where (2|x2|)^|h5| vanishes otherwise, and |h6| is 0 when z1 is
+    empty; |h4| takes what is left of h and |y3| = t - |h4|.
 
     Most size tuples have no profile, so each is first tested against the
     functors' lowest sizes, in integers, before any range is built: x1 needs
@@ -227,16 +221,17 @@ def _profiles(F: FunctorSpec, G: FunctorSpec, sizes: Sequence[int]) -> Iterator[
             or (fy0 if nx == fx0 else 0) + (gy0 if nz == gz0 else 0) > ny):
         return
     # each slot at the widest size its blocks can give it
-    slots = (F.slot_sizes(X, nx), F.slot_sizes(Y, ny + nh), F.slot_sizes(Z, nz + nh),
-             F.slot_sizes(H, nh), G.slot_sizes(X, nx + nh), G.slot_sizes(Y, ny + nh),
-             G.slot_sizes(Z, nz), G.slot_sizes(H, nh))
+    free = (F.slot_sizes(X, nx), F.slot_sizes(Y, ny + nh), F.slot_sizes(Z, nz + nh),
+            F.slot_sizes(H, nh), G.slot_sizes(Z, nz), G.slot_sizes(H, nh))
+    gxs, gys = G.slot_sizes(X, nx + nh), G.slot_sizes(Y, ny + nh)
     # F sees (x1, y1+h5, z1+h3, h1) and G sees (x2+h3, y2+h6, z2, h2)
-    for x1, fy, fz, h1, gx, gy, z2, h2 in product(*slots):
+    for x1, fy, fz, h1, z2, h2 in product(*free):
         x2, z1 = nx - x1, nz - z2
         t = fz - z1
         pool = nh - t - h1 - h2  # |h4| + |h5| + |h6|
         # |y1| + |y2| + |y3| = ny with |y3| + |h4| = |h3| = t
-        if t < 0 or t != gx - x2 or pool < 0 or fy + gy + 2 * t + h1 + h2 != ny + nh:
+        gy = ny + nh - fy - 2 * t - h1 - h2
+        if t < 0 or pool < 0 or x2 + t not in gxs or gy not in gys:
             continue
         # |h4| = pool - |h5| - |h6| is at most t, since |y3| = t - |h4|
         top5 = min(pool, fy) if x2 else 0

@@ -101,12 +101,17 @@ class TestElementBasics:
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             Element({(-1, 0, 0, 0): 1})
+        with pytest.raises(ValueError):
+            Element({NormalMonomial(-1, 0, 0, 0): 1})
 
     @pytest.mark.parametrize("mono", [(0.5, 0, 0, 0), (1.0, 0, 0, 0), (0, Fraction(1), 0, 0),
-                                      (0, 0, True, 0), (0, 0, 0, "1")])
+                                      (0, 0, True, 0), (0, 0, 0, "1"), (True, 0, 0, 0),
+                                      (1.5, 0, 0, 0)])
     def test_rejects_exponents_that_are_not_ints(self, mono):
-        with pytest.raises(TypeError, match=r"non-integer exponent in monomial \("):
-            Element({mono: 1})
+        # a NormalMonomial key passes the same rule as a tuple
+        for key in (mono, NormalMonomial(*mono)):
+            with pytest.raises(TypeError, match=r"non-integer exponent in monomial \("):
+                Element({key: 1})
         with pytest.raises(TypeError, match=r"non-integer exponent"):
             Element.monomial(mono)
         with pytest.raises(TypeError, match=r"non-integer exponent"):
@@ -844,6 +849,23 @@ class TestScalars:
         expected = int if integral(f) and q.denominator == 1 else Fraction
         assert all(type(v) is expected for v in scaled.terms.values())
 
+    def test_other_operands_reach_their_own_product(self):
+        class Other:
+            def __mul__(self, f):
+                return "Other * f"
+
+            def __rmul__(self, f):
+                return "f * Other"
+
+        f = Element({(1, 0, 0, 0): 3})
+        assert f * Other() == "f * Other"
+        assert Other() * f == "Other * f"
+        for operand in (1.5, "a", None):
+            with pytest.raises(TypeError):
+                f * operand
+            with pytest.raises(TypeError):
+                operand * f
+
 
 class TestMiddleProducts:
     """star spreads one memoized middle product per pair of groups over the
@@ -883,6 +905,18 @@ class TestMiddleProducts:
         assert (_mono_star.cache_info().misses > 0) == through_middles
         assert product == reference_star(f, g)
         assert all(type(v) is Fraction for v in product.terms.values())
+
+    def test_a_cap_above_the_bound_skips_pairs_past_it(self):
+        # the degrees sum to 550 > ORDINARY_MAX_DEGREE, so the pairs go one by
+        # one, and the pair of degree 550 passes the cap of 400
+        f = Element({(300, 0, 0, 0): Fraction(1, 3), (1, 1, 0, 0): 3}, cap=400)
+        g = Element({(0, 0, 250, 0): 2, (0, 1, 1, 0): Fraction(-1, 2)}, cap=400)
+        _mono_star.cache_clear()
+        product = star(f, g)
+        assert _mono_star.cache_info().misses == 0
+        assert product == reference_star(f, g)
+        assert product.cap == 400 and len(product.terms) == 3
+        assert all(m.degree <= 400 for m in product.terms)
 
     @pytest.mark.parametrize("a", [20_000, 10**100], ids=["20000", "10^100"])
     def test_a_large_passive_exponent_takes_no_factorial(self, a):

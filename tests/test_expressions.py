@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_formula import reference_star
 from reference_tokenize import reference_parse, reference_tokenize
 from uhsl2 import algebra
-from uhsl2.algebra import UNIT, Element, star
+from uhsl2.algebra import UNIT, Element
 from uhsl2.expressions import (
     DividedMono,
     EvalError,
@@ -589,8 +590,8 @@ def _typed(f: Element) -> dict:
 
 class TestScalarFactors:
     """evaluate multiplies a scalar factor through star, as any other factor:
-    it must give what star gives on the evaluated factors, with the same
-    terms, cap and coefficient types."""
+    it must give the product of the evaluated factors, with the same terms and
+    cap as ``reference_star`` and star's coefficient types."""
 
     SCALARS = [1, -1, 3, -2, Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3),
                Fraction(4, 2)]
@@ -615,9 +616,17 @@ class TestScalarFactors:
                 if elements is None:
                     elements = [evaluate(node, cap) for node in factors]
                 got = evaluate(StarProduct(factors), cap)
-                expected = reduce(star, elements)
+                expected = reduce(self.typed_reference, elements)
                 assert _typed(got) == _typed(expected)
                 assert got.cap == expected.cap == cap
+
+    @staticmethod
+    def typed_reference(f, g):
+        # star's coefficient types: ints exactly when both factors' are integral
+        product = reference_star(f, g)
+        integral = all(v.denominator == 1 for v in (*f.terms.values(), *g.terms.values()))
+        kind = int if integral else Fraction
+        return Element({m: kind(v) for m, v in product.terms.items()}, product.cap)
 
     def test_an_integral_scalar_gives_ints(self):
         # star gives 2 here, an int, as Element.scale and 4/2 * f do

@@ -238,7 +238,7 @@ class TestDeals:
                     assert self.deal(n, order) == multinomial, (n, order)
 
     def test_choices_are_counted_from_combinations(self):
-        for n in range(9):
+        for n in range(13):
             for k in range(n + 2):
                 assert species._choices(n, k) == sum(1 for _ in combinations(range(n), k))
 
