@@ -596,9 +596,9 @@ def normal_order_zx(a: int, b: int) -> Element:
 
 def exp_series(color: str, cap: int) -> Element:
     """Truncated exponential series in one generator: sum of its divided powers."""
-    if color.lower() not in COLORS:
+    if color not in COLORS:
         raise ValueError(f"unknown generator {color!r}")
-    i = COLORS.index(color.lower())
+    i = COLORS.index(color)
     terms = {}
     for k in range(cap + 1):
         mono = [0, 0, 0, 0]

@@ -43,7 +43,7 @@ EXIT_INTERNAL = 3
 
 # verify compares (n + 1)^8 pairs, and a sweep at the bound gets a budget of
 # 5 s of CLI wall time (tier-1 and CI run it).  The 65,536 pairs at n = 3 take
-# 1.6-2.9 s and 17 MB; the 390,625 at n = 4 take 16.7-16.9 s, so n stops at 3
+# 1.5-1.9 s and 16 MB; the 390,625 at n = 4 take 11.2-11.3 s, so n stops at 3
 MAX_VERIFY_EXP = 3
 
 # species counts choices of labels and ascending maps row by row, so its cost

@@ -22,14 +22,14 @@ A letter that does not invert the boundary pair is appended in place; an
 inverted one goes through the memo of insertions, keyed on (normal word,
 letter).  ``normalize`` extends the empty word.
 
-``oracle_star`` reads two runs of letters that ``extend`` fills, both
-memoized on their exponents by one ``lru_cache`` of 2,048 runs, so a
-verification sweep pays once per key, not once per pair; its docstring gives
-the keys and why they are sound.  The insertion memo grows with the distinct
-normal words met, not with the rewrite branches, and ``extend`` empties it
-when it starts with more than ``MEMO_BOUND`` entries.  All memos live for the
-whole process and hold only normal forms.  Entries are never mutated, so
-concurrent callers at worst compute an entry twice.
+``oracle_star`` reads one run of letters that ``extend`` fills, memoized on
+its four exponents by an ``lru_cache`` of 2,048 runs, so a verification
+sweep pays once per key, not once per pair; its docstring gives the key and
+why it is sound.  The insertion memo grows with the distinct normal words
+met, not with the rewrite branches, and ``extend`` empties it when it starts
+with more than ``MEMO_BOUND`` entries.  All memos live for the whole process
+and hold only normal forms.  Entries are never mutated, so concurrent
+callers at worst compute an entry twice.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ _RULES: dict[str, tuple[tuple[str, int], ...]] = {
 }
 
 # (normal word, letter) -> normal form of the word with the letter appended.
-# It holds 327 entries after verify --max-exp 3, but 40,153 after the one
-# product oracle_star((0,12,12,0), (12,12,0,0)), in a process of 46 MB; so
+# It holds 758 entries after verify --max-exp 3, but 48,571 after the one
+# product oracle_star((0,12,12,0), (12,12,0,0)), in a process of 52 MB; so
 # extend empties it when it starts with more than MEMO_BOUND entries
 MEMO_BOUND = 1 << 16
 _MEMO: dict[tuple[FreeWord, str], WordSum] = {}
@@ -126,7 +126,7 @@ def extend(total: WordSum, letters: str) -> WordSum:
     ``MEMO_BOUND`` entries, and never inside ``_insert``, whose work stack
     reads entries back.  So it is bounded across calls, but one call can
     still fill it past the bound: ``oracle_star((0,20,20,0), (20,20,0,0))``
-    leaves 290,082 entries in a process of 361 MB.
+    leaves 328,877 entries in a process of 381 MB.
     """
     if len(_MEMO) > MEMO_BOUND:
         _MEMO.clear()
@@ -176,29 +176,26 @@ def word_of_monomial(mono) -> FreeWord:
     return "X" * a + "Y" * b + "Z" * c + "H" * d
 
 
-# a run N(Y^b Z^c letter^n) as (exponents, coefficient) pairs.  oracle_star
-# reads the keys (b1, c1, "X", a2) and (0, c, "Y", b2): exponents up to n meet
-# (n + 1)^3 + (n + 1)^2 of them, 150 at n = 4, and the cache keeps the 2,048
-# runs it used last, so every key of exponents up to 9 stays warm
+# the run N(Y^b1 Z^c1 X^a2 Y^b2) as (a, b, c, d, coefficient) tuples.  Exponents
+# up to n meet (n + 1)^4 keys, 625 at n = 4, and the cache keeps the 2,048 runs
+# it used last, so every key of exponents up to 5 stays warm
 @lru_cache(maxsize=1 << 11)
-def _run(b: int, c: int, letter: str, n: int) -> tuple:
-    return tuple((tuple(map(w.count, ALPHABET)), k)
-                 for w, k in extend({"Y" * b + "Z" * c: 1}, letter * n).items())
+def _run(b1: int, c1: int, a2: int, b2: int) -> tuple:
+    return tuple((*map(w.count, ALPHABET), k)
+                 for w, k in extend({"Y" * b1 + "Z" * c1: 1}, "X" * a2 + "Y" * b2).items())
 
 
 def oracle_star(m1, m2) -> Element:
     """Star product of two divided monomials via plain-word rewriting.
 
     The plain word ``X^a1 Y^b1 Z^c1 H^d1 X^a2 Y^b2 Z^c2 H^d2`` is rewritten
-    from two memoized runs: ``N(Y^b1 Z^c1 X^a2)``, keyed (b1, c1, "X", a2),
-    then ``N(Z^c Y^b2)``, keyed (0, c, "Y", b2), for each word
-    ``X^a Y^b Z^c H^d`` of the first; each pair of run words gives
-    ``X^(a1+a) Y^(b+b') Z^(c'+c2) H^(d+d'+d1+d2)``.  By
-    ``N(u v w) = N(u N(v) w)`` this is the normal form of the whole word,
-    since leftmost rewriting never touches a leading run of letters that
-    rank at or below the letter appended (X^a1, then Y^b), H is central with
-    rules of coefficient 1 that make no other letter, and an appended Z (of
-    Z^c2) passes only H.
+    from one memoized run, ``N(Y^b1 Z^c1 X^a2 Y^b2)``, keyed (b1, c1, a2, b2):
+    each of its words ``X^a Y^b Z^c H^d`` gives ``X^(a+a1) Y^b Z^(c+c2)
+    H^(d+d1+d2)``.  By ``N(u v w) = N(u N(v) w)`` this is the normal form of
+    the whole word: H is central, with rules of coefficient 1 that make no
+    other letter, so H^d1 moves to the end; ``X^a1`` followed by a normal
+    word is normal; and an appended Z (of Z^c2) passes only H.  The shift is
+    one to one, so distinct run words give distinct monomials.
 
     Each normal word's coefficient is scaled to the divided basis and
     divided by the factorials of the input exponents in one exact divmod:
@@ -210,19 +207,11 @@ def oracle_star(m1, m2) -> Element:
     a1, b1, c1, d1 = m1
     a2, b2, c2, d2 = m2
     den = prod(map(factorial, m1 + m2))
-    plain: dict[tuple[int, int, int, int], int] = {}
-    get = plain.get
-    for (a, b, c, d), k in _run(b1, c1, "X", a2):
-        a += a1
-        d += d1 + d2
-        for (_, y, z, h), j in _run(0, c, "Y", b2):
-            out = (a, b + y, z + c2, d + h)
-            plain[out] = get(out, 0) + k * j
     terms: dict[NormalMonomial, Fraction | int] = {}
-    for (a, b, c, d), coeff in plain.items():
-        if coeff:
-            num = coeff * factorial(a) * factorial(b) * factorial(c) * factorial(d)
-            quotient, remainder = divmod(num, den)
-            mono = tuple.__new__(NormalMonomial, (a, b, c, d))
-            terms[mono] = Fraction(num, den) if remainder else quotient
+    for a, b, c, d, k in _run(b1, c1, a2, b2):
+        a, c, d = a + a1, c + c2, d + d1 + d2
+        num = k * factorial(a) * factorial(b) * factorial(c) * factorial(d)
+        quotient, remainder = divmod(num, den)
+        mono = tuple.__new__(NormalMonomial, (a, b, c, d))
+        terms[mono] = Fraction(num, den) if remainder else quotient
     return Element._built(terms)

@@ -658,9 +658,9 @@ class TestExpSeries:
         with pytest.raises(ValueError):
             exp_series("x", -1)
 
-    @pytest.mark.parametrize("color", ["xy", ""])
+    @pytest.mark.parametrize("color", ["xy", "", "X", 0])
     def test_unknown_generator_rejected(self, color):
-        # a name is a whole generator, never a substring of "xyzh"
+        # a name is a whole lowercase generator, never a substring of "xyzh"
         with pytest.raises(ValueError):
             exp_series(color, 2)
 

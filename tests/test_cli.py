@@ -413,22 +413,23 @@ class TestVerifyCommand:
         assert "256 monomial pairs with exponents <= 1: 1 mismatches" in out
 
     def test_wrong_run_memo_entry_is_a_mismatch(self, capsys, monkeypatch):
-        # plant N(Z X) = XZ - 2YH (it is XZ - YH) as the run of (b1, c1, "X",
-        # a2) = (0, 1, "X", 1); every pair that reads that run, and only
+        # plant N(Z X) = XZ - 2YH (it is XZ - YH) as the run of (b1, c1, a2,
+        # b2) = (0, 1, 1, 0); every pair that reads that run, and only
         # those, mismatch
-        wrong = (((1, 0, 1, 0), 1), ((0, 1, 0, 1), -2))
+        wrong = ((1, 0, 1, 0, 1), (0, 1, 0, 1, -2))
         real = rewrite._run
         monkeypatch.setattr(rewrite, "_run",
-                            lambda *key: wrong if key == (0, 1, "X", 1) else real(*key))
+                            lambda *key: wrong if key == (0, 1, 1, 0) else real(*key))
         code, out, _ = run(capsys, "verify", "--max-exp", "1")
         assert code == 1
         assert "MISMATCH (0, 0, 1, 0) * (1, 0, 0, 0)\n" in out
         monos = list(product((0, 1), repeat=4))
         expected = [f"MISMATCH {m1} * {m2}" for m1 in monos for m2 in monos
-                    if (m1[1], m1[2], m2[0]) == (0, 1, 1)]
+                    if (m1[1], m1[2], m2[0], m2[1]) == (0, 1, 1, 0)]
+        assert len(expected) == 16
         assert out.splitlines() == expected + [
             "verified 256 monomial pairs with exponents <= 1: "
-            "32 mismatches, 0 integrality violations"]
+            "16 mismatches, 0 integrality violations"]
 
     def test_non_integral_coefficient_exits_1(self, capsys, monkeypatch):
         real = rewrite.oracle_star

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_rewrite import is_normal, reference_normalize, rewrite_step
-from uhsl2 import rewrite
+from uhsl2 import cli, rewrite
 from uhsl2.algebra import Element, mono_star_mono
 from uhsl2.rewrite import ALPHABET, extend, normalize, oracle_star, to_element, word_of_monomial
 
@@ -270,12 +270,31 @@ class TestOracleStar:
         assert oracle_star(m1, m2) == Element(
             {mono: Fraction(v, den) for mono, v in to_element(plain).terms.items()})
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.tuples(*[st.integers(0, 2)] * 4), st.tuples(*[st.integers(0, 40)] * 4))
+    def test_passive_exponents_only_shift_the_run(self, middle, passive):
+        # a1, c2, d1 and d2 never enter the run's key; 200 examples with them
+        # up to 40 take about 0.3 s
+        (b1, c1, a2, b2), (a1, c2, d1, d2) = middle, passive
+        m1, m2 = (a1, b1, c1, d1), (a2, b2, c2, d2)
+        assert oracle_star(m1, m2) == mono_star_mono(m1, m2)
+
+    def test_passive_exponents_past_five_against_whole_word_rewriting(self):
+        # every passive exponent 8 or more, around the middle (2, 2, 2, 2);
+        # the reference takes about 0.04 s on it
+        m1, m2 = (8, 2, 2, 9), (2, 2, 8, 10)
+        plain = reference_normalize(word_of_monomial(m1) + word_of_monomial(m2))
+        den = prod(map(factorial, (*m1, *m2)))
+        assert oracle_star(m1, m2) == Element(
+            {mono: Fraction(v, den) for mono, v in to_element(plain).terms.items()})
+
     def test_run_memos_are_bounded(self, monkeypatch):
         # the run cache keeps the 2,048 runs it used last: enough for the
-        # 1,000 keys (b1, c1, "X", a2) and 100 keys (0, c, "Y", b2) of
-        # exponents up to 9.  Under a bound of 8, the 27 + 9 keys of exponents
-        # up to 2 cycle through it and each product stays right
+        # 1,296 keys (b1, c1, a2, b2) of exponents up to 5, so a verify sweep
+        # at its bound pays once per key.  Under a bound of 8, the 81 keys of
+        # exponents up to 2 cycle through it and each product stays right
         assert rewrite._run.cache_info().maxsize == 2048
+        assert (cli.MAX_VERIFY_EXP + 1) ** 4 <= rewrite._run.cache_info().maxsize
         fresh_runs(monkeypatch, maxsize=8)
         monos = list(product(range(3), repeat=4))
         for m1, m2 in product(monos, repeat=2):
