@@ -5,8 +5,8 @@ Subcommands:
   coeff       print one structural coefficient
   verify      closed formula vs rewrite oracle, exhaustive sweep over all
               (max_exp + 1)^8 monomial pairs; max_exp is at most MAX_VERIFY_EXP
-  species     labelled counts vs series coefficients for a functor pair, on
-              every size tuple of total at most max_total <= MAX_SPECIES_TOTAL
+  species     structure counts of a functor pair vs its series coefficients,
+              size tuples of total at most max_total <= MAX_SPECIES_TOTAL
   identities  run the catalog of known identities
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
@@ -46,12 +46,12 @@ EXIT_INTERNAL = 3
 # 1.5-1.9 s and 16 MB; the 390,625 at n = 4 take 11.2-11.3 s, so n stops at 3
 MAX_VERIFY_EXP = 3
 
-# species counts choices of labels and ascending maps row by row, so its cost
-# is the profile walk.  At total 20 the costliest pair measured over every
-# pair of exponentials, exp(z) * exp(z), takes 0.26-0.29 s of CLI wall time;
-# exp(z) * exp(x) 0.21-0.24 s and exp(y) * exp(y) 0.19-0.21 s (2 cores,
-# Python 3.11)
-MAX_SPECIES_TOTAL = 20
+# species walks the structures the functors' supports allow, not the size
+# tuples.  At total 32 the costliest pair measured over every pair of
+# exponentials, exp(z) * exp(x), takes 0.19-0.29 s of CLI wall time and 25 MB
+# max RSS, and each other pair 0.07-0.19 s; a budget of 5 s, as for verify
+# (2 cores, Python 3.11)
+MAX_SPECIES_TOTAL = 32
 
 
 def _is_natural(text: str) -> bool:

@@ -9,32 +9,29 @@ y in three, z in two, h in six blocks, subject to |y3| + |h4| = |h3|.  The
 count must agree with the corresponding coefficient of the algebraic product,
 which ``species_coefficient_check`` verifies size tuple by size tuple.
 
-The count runs in two stages.  ``_profiles`` walks the block-size profiles
-in integers, over six free sizes; most size tuples of a check fall below the
-lowest sizes the two functors accept and are refused before the walk.  Then
-the labels of each color are dealt into a profile's blocks one block at a
-time, each block's labels chosen out of those the earlier blocks left.  So
-the multinomial factors of the algebraic formula are never inserted by hand;
-they emerge as the number of labelled assignments sharing a profile.  Both
-a block's choices and the ascending maps are counted by ``_placements``, row
-by row, and kept in bounded memos.
+The count walks the structures, not the size tuples.  F's and G's
+arguments, taken from their supports (the size tuples where their value is
+1), |h3| and |h4| + |h5| + |h6| fix a structure's size tuple, so
+``species_element`` walks these and adds each count at its sizes, and
+``star_species`` solves the last two from the sizes it is given.  The
+labels of each color are dealt into the blocks one block at a time, each
+block's labels chosen out of those the earlier blocks left, so the
+multinomial factors of the algebraic formula are never inserted by hand.
+Both a block's choices and the ascending maps are counted by
+``_placements``, row by row, and kept in bounded memos.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import COLORS, Element, NormalMonomial, star
 
-X, Y, Z, H = range(4)
 # color -> the exponents of its singleton
 _UNIT_EXPONENTS = {c: tuple(int(c == k) for k in COLORS) for c in COLORS}
-# color -> the largest sizes an exponential in it accepts; None is no bound
-_EXP_HIGHEST = {c: tuple(None if c == k else 0 for k in COLORS) for c in COLORS}
 
 
 class ColoredSizes(NamedTuple):
@@ -49,22 +46,18 @@ class ColoredSizes(NamedTuple):
 class FunctorSpec:
     """Base for the rigid functor kinds; value on a size 4-tuple is 0 or 1.
 
-    Each kind holds as data the ``lowest`` size it accepts in each color and
-    the ``highest`` (None when any size is accepted), and it accepts a size
-    tuple iff every size lies within its color's bounds.  So each color is
-    tested on its own, and per-color pruning is exact.
+    A kind with ``exponents`` accepts those sizes alone.  ``value`` only
+    compares, so its cost does not grow with the sizes.
     """
 
-    lowest: tuple[int, int, int, int]
-    highest: tuple[int | None, int | None, int | None, int | None]
+    exponents: tuple[int, int, int, int]
 
     def value(self, sizes: Sequence[int]) -> int:
-        return int(all(s in self.slot_sizes(color, s) for color, s in enumerate(sizes)))
+        return int(tuple(sizes) == self.exponents)
 
-    def slot_sizes(self, color: int, limit: int) -> range:
-        """Sizes of the ``color`` argument (0..limit) not forcing value 0."""
-        high = self.highest[color]
-        return range(self.lowest[color], limit + 1 if high is None or high > limit else high + 1)
+    def support(self, total: int) -> tuple[tuple[int, int, int, int], ...]:
+        """The size tuples of total at most ``total`` with value 1."""
+        return (self.exponents,) if sum(self.exponents) <= total else ()
 
 
 def _check_color(spec: FunctorSpec, color: str) -> None:
@@ -90,7 +83,7 @@ class DividedPower(FunctorSpec):
         # the bitwise or of ints is negative when one of them is
         if not (type(a) is type(b) is type(c) is type(d) is int and a | b | c | d >= 0):
             NormalMonomial.checked(e)
-        self.__dict__.update(a=a, b=b, c=c, d=d, exponents=e, lowest=e, highest=e)
+        self.__dict__.update(a=a, b=b, c=c, d=d, exponents=e)
 
     def __str__(self) -> str:
         return f"dp({self.a},{self.b},{self.c},{self.d})"
@@ -102,8 +95,7 @@ class Singleton(FunctorSpec):
 
     def __init__(self, color: str):
         _check_color(self, color)
-        e = _UNIT_EXPONENTS[color]
-        self.__dict__.update(color=color, exponents=e, lowest=e, highest=e)
+        self.__dict__.update(color=color, exponents=_UNIT_EXPONENTS[color])
 
     def __str__(self) -> str:
         return self.color
@@ -115,7 +107,15 @@ class Exponential(FunctorSpec):
 
     def __init__(self, color: str):
         _check_color(self, color)
-        self.__dict__.update(color=color, lowest=(0, 0, 0, 0), highest=_EXP_HIGHEST[color])
+        self.__dict__.update(color=color)
+
+    def value(self, sizes: Sequence[int]) -> int:
+        # every other color is empty
+        return int(not any(s for s, u in zip(sizes, _UNIT_EXPONENTS[self.color]) if not u))
+
+    def support(self, total: int) -> tuple[tuple[int, int, int, int], ...]:
+        unit = _UNIT_EXPONENTS[self.color]
+        return tuple(tuple(k * u for u in unit) for k in range(total + 1))
 
     def __str__(self) -> str:
         return f"exp({self.color})"
@@ -138,8 +138,8 @@ def _placements(rows: Iterable[int], k: int) -> int:
 
 
 # base, m and k are the sizes of the disjoint blocks z1 + x2, h3 and h4, so a
-# species check up to total T meets at most C(T + 3, 3) keys: 1,771 at T = 20
-@lru_cache(maxsize=1 << 11)
+# species check up to total T meets at most C(T + 3, 3) keys: 6,545 at T = 32
+@lru_cache(maxsize=1 << 13)
 def ascending_maps_count(base: int, m: int, k: int) -> int:
     """Maps from an ordered k-set into components of sizes base..base+m-1,
     with strictly increasing component indices.
@@ -156,8 +156,8 @@ def ascending_maps_count(base: int, m: int, k: int) -> int:
 
 
 # one key (n, k) with k <= n <= T for each block a check up to total T deals,
-# (T + 1)(T + 2) / 2 keys: 231 at T = 20
-@lru_cache(maxsize=1 << 9)
+# (T + 1)(T + 2) / 2 keys: 561 at T = 32
+@lru_cache(maxsize=1 << 10)
 def _choices(n: int, k: int) -> int:
     """Ways to choose the k labels of one block out of n: k dots on n rows of
     one cell, as a choice either holds the last label or does not."""
@@ -175,93 +175,84 @@ def star_species(F: FunctorSpec, G: FunctorSpec, sizes: ColoredSizes | Sequence[
              (2|x2|)^|h5| (2|z1|)^|h6| |y3|! |h4|!
              ascending_maps_count(|z1|+|x2|, |y3|+|h4|, |h4|).
 
-    The contribution depends only on the block sizes, so ``_profiles``
-    walks the profiles with a nonzero one, and the labels of each color are
-    dealt into a profile's blocks one block at a time, each block's labels
-    chosen out of those the earlier blocks left: a deal's count is the
-    product of its blocks' ``_choices``.
+    Only assignments where F and G are 1 count, so F's and G's arguments
+    are walked in their supports; nx = |x1| + |x2| then gives t = |h3|, and
+    nh gives pool = |h4| + |h5| + |h6|.
     """
     nx, ny, nz, nh = sizes
     total = 0
-    for weight, (x1, _), (y1, y2, _), (z2, _), (h3, h1, h2, h5, h6, _) in _profiles(F, G, sizes):
-        # the last block of each color takes the labels left
-        pool = nh - h3 - h1 - h2
-        total += (weight * _choices(nx, x1) * _choices(ny, y1) * _choices(ny - y1, y2)
-                  * _choices(nz, z2) * _choices(nh, h3) * _choices(nh - h3, h1)
-                  * _choices(nh - h3 - h1, h2) * _choices(pool, h5) * _choices(pool - h5, h6))
+    for fa in F.support(sum(sizes)):
+        for ga in G.support(sum(sizes) - sum(fa)):
+            t = fa[0] + ga[0] - nx
+            pool = nh - t - fa[3] - ga[3]
+            # nz and ny must come out as given too
+            if (0 <= t <= min(fa[2], ga[0]) and pool >= 0 and fa[2] + ga[2] - t == nz
+                    and fa[1] + ga[1] + t - pool == ny):
+                total += _count(fa, ga, t, pool, sizes)
     return total
 
 
-def _profiles(F: FunctorSpec, G: FunctorSpec, sizes: Sequence[int]) -> Iterator[tuple]:
-    """Block-size profiles with a nonzero weight.
+def _count(fa: Sequence[int], ga: Sequence[int], t: int, pool: int, sizes: Sequence[int]) -> int:
+    """Signed count of the structures on ``sizes`` where F sees ``fa``, G sees
+    ``ga``, |h3| = t and |h4| + |h5| + |h6| = pool.
 
-    Yields the weight and the block sizes of each color: (x1, x2),
-    (y1, y2, y3), (z2, z1) and (h3, h1, h2, h5, h6, h4).  The walk runs over
-    six free sizes, each in its functor's slot range: x1, F's y and z sizes,
-    h1, z2 and h2.  They fix x2, z1 and t = |h3|, and so G's x size x2 + t
-    and y size ny + nh - (F's y) - 2t - h1 - h2, each kept only within G's
-    slot range, so both functor values are 1.  Then |h5| is 0 when x2 is
-    empty, where (2|x2|)^|h5| vanishes otherwise, and |h6| is 0 when z1 is
-    empty; |h4| takes what is left of h and |y3| = t - |h4|.
-
-    Most size tuples have no profile, so each is first tested against the
-    functors' lowest sizes, in integers, before any range is built: x1 needs
-    F's lowest x, z2 G's lowest z, and t the shortfall of F's z slot from z1
-    and of G's x slot from x2; h1, h2 and t share h, and F's and G's y sizes
-    with 2t, h1 and h2 make up ny + nh.  When nx is F's lowest x, x2 and so
-    h5 are empty and y1 is all of F's y size; when nz is G's lowest z, z1
-    and h6 are empty and y2 is all of G's.
+    F sees (x1, y1+h5, z1+h3, h1) and G sees (x2+h3, y2+h6, z2, h2), so only
+    |h5| and |h6| are free: |h5| is 0 when x2 is empty, where (2|x2|)^|h5|
+    vanishes otherwise, and |h6| is 0 when z1 is empty; |h4| takes the rest
+    of the pool and |y3| = t - |h4|.  A deal's count is the product of its
+    blocks' ``_choices``.
     """
     nx, ny, nz, nh = sizes
-    fx0, fy0, fz0, fh0 = F.lowest
-    gx0, gy0, gz0, gh0 = G.lowest
-    t0 = max(fz0 + gz0 - nz, gx0 + fx0 - nx, 0)
-    if (nx < fx0 or nz < gz0 or fh0 + gh0 + t0 > nh
-            or fy0 + gy0 + 2 * t0 + fh0 + gh0 > ny + nh
-            or (fy0 if nx == fx0 else 0) + (gy0 if nz == gz0 else 0) > ny):
-        return
-    # each slot at the widest size its blocks can give it
-    free = (F.slot_sizes(X, nx), F.slot_sizes(Y, ny + nh), F.slot_sizes(Z, nz + nh),
-            F.slot_sizes(H, nh), G.slot_sizes(Z, nz), G.slot_sizes(H, nh))
-    gxs, gys = G.slot_sizes(X, nx + nh), G.slot_sizes(Y, ny + nh)
-    # F sees (x1, y1+h5, z1+h3, h1) and G sees (x2+h3, y2+h6, z2, h2)
-    for x1, fy, fz, h1, z2, h2 in product(*free):
-        x2, z1 = nx - x1, nz - z2
-        t = fz - z1
-        pool = nh - t - h1 - h2  # |h4| + |h5| + |h6|
-        # |y1| + |y2| + |y3| = ny with |y3| + |h4| = |h3| = t
-        gy = ny + nh - fy - 2 * t - h1 - h2
-        if t < 0 or pool < 0 or x2 + t not in gxs or gy not in gys:
-            continue
-        # |h4| = pool - |h5| - |h6| is at most t, since |y3| = t - |h4|
-        top5 = min(pool, fy) if x2 else 0
-        top6 = min(pool, gy) if z1 else 0
-        for n5 in range(max(pool - t - top6, 0), top5 + 1):
-            for n6 in range(max(pool - t - n5, 0), min(pool - n5, top6) + 1):
-                n4 = pool - n5 - n6
-                # 0 when x2 and z1 are both empty and |h4| = t > 0
-                maps = ascending_maps_count(z1 + x2, t, n4)
-                if maps:
-                    weight = ((-1) ** t * (2 * x2) ** n5 * (2 * z1) ** n6
-                              * factorial(t - n4) * factorial(n4) * maps)
-                    yield (weight, (x1, x2), (fy - n5, gy - n6, t - n4),
-                           (z2, z1), (t, h1, h2, n5, n6, n4))
+    x1, fy, fz, h1 = fa
+    gx, gy, z2, h2 = ga
+    x2, z1 = gx - t, fz - t
+    total = 0
+    # |h4| = pool - |h5| - |h6| is at most t, since |y3| = t - |h4|
+    top5 = min(pool, fy) if x2 else 0
+    top6 = min(pool, gy) if z1 else 0
+    for n5 in range(max(pool - t - top6, 0), top5 + 1):
+        for n6 in range(max(pool - t - n5, 0), min(pool - n5, top6) + 1):
+            n4 = pool - n5 - n6
+            # 0 when x2 and z1 are both empty and |h4| = t > 0
+            maps = ascending_maps_count(z1 + x2, t, n4)
+            if maps:
+                y1, y2 = fy - n5, gy - n6
+                # the last block of each color takes the labels left
+                total += ((-1) ** t * (2 * x2) ** n5 * (2 * z1) ** n6
+                          * factorial(t - n4) * factorial(n4) * maps
+                          * _choices(nx, x1) * _choices(ny, y1) * _choices(ny - y1, y2)
+                          * _choices(nz, z2) * _choices(nh, t) * _choices(nh - t, h1)
+                          * _choices(nh - t - h1, h2) * _choices(pool, n5)
+                          * _choices(pool - n5, n6))
+    return total
 
 
 def valuation_element(spec: FunctorSpec, cap: int) -> Element:
-    """The generating series of a functor, truncated at total degree ``cap``.
-
-    Built directly from functor values on size tuples, one divided monomial
-    per accepted tuple.
-    """
-    return Element({NormalMonomial(*sizes): spec.value(sizes)
-                    for sizes in size_tuples(cap)}, cap)
+    """The generating series of a functor, truncated at total degree ``cap``:
+    one divided monomial per size tuple of its support."""
+    return Element({NormalMonomial(*sizes): 1 for sizes in spec.support(cap)}, cap)
 
 
 def species_element(F: FunctorSpec, G: FunctorSpec, max_total: int) -> Element:
-    """The product F * G up to total degree ``max_total``, from counts alone."""
-    return Element({NormalMonomial(*sizes): star_species(F, G, sizes)
-                    for sizes in size_tuples(max_total)})
+    """The product F * G up to total degree ``max_total``, from counts alone.
+
+    Walks F's and G's arguments in their supports, t = |h3| and pool =
+    |h4| + |h5| + |h6|, and adds each ``_count`` at the sizes these fix; the
+    total degree is conserved, so G's argument has what F's leaves.
+    """
+    counts: dict[NormalMonomial, int] = {}
+    for fa in F.support(max_total):
+        x1, fy, fz, h1 = fa
+        for ga in G.support(max_total - sum(fa)):
+            gx, gy, z2, h2 = ga
+            for t in range(min(fz, gx) + 1):
+                x2, z1 = gx - t, fz - t
+                # |h4| <= t, |h5| <= F's y (0 if x2 is empty), |h6| <= G's y (0 if z1 is)
+                for pool in range(t + (fy if x2 else 0) + (gy if z1 else 0) + 1):
+                    sizes = NormalMonomial(x1 + x2, fy + gy + t - pool, z1 + z2,
+                                           t + h1 + h2 + pool)
+                    counts[sizes] = counts.get(sizes, 0) + _count(fa, ga, t, pool, sizes)
+    return Element(counts)
 
 
 def size_tuples(max_total: int) -> Iterator[ColoredSizes]:
@@ -292,9 +283,8 @@ class SpeciesCheckReport:
         return not self.mismatches
 
 
-def species_coefficient_check(
-    F: FunctorSpec, G: FunctorSpec, max_total: int
-) -> SpeciesCheckReport:
+def species_coefficient_check(F: FunctorSpec, G: FunctorSpec,
+                              max_total: int) -> SpeciesCheckReport:
     """Compare the labelled counts with the algebraic product coefficients.
 
     Every size tuple with total at most ``max_total`` is checked against the
@@ -303,10 +293,8 @@ def species_coefficient_check(
     """
     counts = species_element(F, G, max_total)
     series = star(valuation_element(F, max_total), valuation_element(G, max_total))
-    differing = (counts - series).terms
-    sizes = list(size_tuples(max_total))
-    mismatches = [
-        SpeciesMismatch(s, counts.coefficient(s), series.coefficient(s))
-        for s in sizes if s in differing
-    ]
-    return SpeciesCheckReport(F, G, max_total, len(sizes), mismatches)
+    mismatches = [SpeciesMismatch(ColoredSizes(*s), counts.coefficient(s), series.coefficient(s))
+                  for s in sorted((counts - series).terms)]
+    # the number of size tuples of total at most max_total, C(max_total + 4, 4)
+    checked = (max_total + 1) * (max_total + 2) * (max_total + 3) * (max_total + 4) // 24
+    return SpeciesCheckReport(F, G, max_total, checked, mismatches)

@@ -3,9 +3,9 @@
 ``reference_star_species`` builds the label sets as frozensets and walks
 every block of every assignment in turn, x1, z2, h3, h1, h2, then h5, h6 and
 y1, y2 in ``_h56_blocks``, adding one signed weight per labelled assignment.
-It prunes only where a functor's slot sizes leave no choice.  The library
-instead enumerates block-size profiles first, in integers, and deals labels
-only for the profiles whose weight survives; the two must agree count for
+It prunes only where the functors' supports leave a block no size.  The
+library instead walks the block sizes first, in integers, and deals labels
+only for the structures whose weight survives; the two must agree count for
 count.
 """
 
@@ -15,7 +15,10 @@ from itertools import combinations
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from uhsl2.species import H, X, Y, Z, ColoredSizes, FunctorSpec, ascending_maps_count
+from uhsl2.species import ColoredSizes, FunctorSpec, ascending_maps_count
+
+# the argument positions of the four colors
+X, Y, Z, H = range(4)
 
 
 def _sized_subsets(pool: frozenset, sizes: Iterable[int]) -> Iterator[frozenset]:
@@ -23,6 +26,12 @@ def _sized_subsets(pool: frozenset, sizes: Iterable[int]) -> Iterator[frozenset]
         if 0 <= s <= len(pool):
             for chosen in combinations(sorted(pool), s):
                 yield frozenset(chosen)
+
+
+def _slot_sizes(spec: FunctorSpec, color: int, limit: int, total: int) -> list[int]:
+    """Sizes 0..limit of the ``color`` argument in some tuple of the support;
+    no argument of a structure on sizes of this total is larger."""
+    return sorted({sizes[color] for sizes in spec.support(total) if sizes[color] <= limit})
 
 
 def reference_star_species(
@@ -34,36 +43,37 @@ def reference_star_species(
     ys = frozenset(range(ny))
     zs = frozenset(range(nz))
     hs = frozenset(range(nh))
+    whole = sum(sizes)
     total = 0
-    for x1 in _sized_subsets(xs, F.slot_sizes(X, nx)):
+    for x1 in _sized_subsets(xs, _slot_sizes(F, X, nx, whole)):
         x2 = xs - x1
-        for z2 in _sized_subsets(zs, G.slot_sizes(Z, nz)):
+        for z2 in _sized_subsets(zs, _slot_sizes(G, Z, nz, whole)):
             z1 = zs - z2
             # h3 feeds both F's z-slot and G's x-slot
             t_candidates = sorted(
-                {fz - len(z1) for fz in F.slot_sizes(Z, len(z1) + nh)}
-                & {gx - len(x2) for gx in G.slot_sizes(X, len(x2) + nh)}
+                {fz - len(z1) for fz in _slot_sizes(F, Z, len(z1) + nh, whole)}
+                & {gx - len(x2) for gx in _slot_sizes(G, X, len(x2) + nh, whole)}
                 & set(range(nh + 1))
             )
             for t in t_candidates:
                 for h3 in _sized_subsets(hs, (t,)):
                     rest = hs - h3
-                    for h1 in _sized_subsets(rest, F.slot_sizes(H, len(rest))):
+                    for h1 in _sized_subsets(rest, _slot_sizes(F, H, len(rest), whole)):
                         rest1 = rest - h1
-                        for h2 in _sized_subsets(rest1, G.slot_sizes(H, len(rest1))):
+                        for h2 in _sized_subsets(rest1, _slot_sizes(G, H, len(rest1), whole)):
                             rest2 = rest1 - h2
                             total += _h56_blocks(
-                                F, G, x1, x2, z1, z2, h1, h2, t, ys, rest2
+                                F, G, x1, x2, z1, z2, h1, h2, t, ys, rest2, whole
                             )
     return total
 
 
-def _h56_blocks(F, G, x1, x2, z1, z2, h1, h2, t, ys, pool):
+def _h56_blocks(F, G, x1, x2, z1, z2, h1, h2, t, ys, pool, whole):
     """Inner blocks: h5, h6 out of ``pool`` (rest is h4), then y1, y2, y3."""
     ny = len(ys)
     total = 0
-    f_y_slots = set(F.slot_sizes(Y, ny + len(pool)))
-    g_y_slots = set(G.slot_sizes(Y, ny + len(pool)))
+    f_y_slots = set(_slot_sizes(F, Y, ny + len(pool), whole))
+    g_y_slots = set(_slot_sizes(G, Y, ny + len(pool), whole))
     for n5 in range(len(pool) + 1):
         y1_sizes = [fy - n5 for fy in f_y_slots if 0 <= fy - n5 <= ny]
         if not y1_sizes:

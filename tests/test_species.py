@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import signal
 from dataclasses import FrozenInstanceError, fields, replace
 from itertools import combinations, product
 from math import comb, factorial, prod
@@ -66,9 +67,8 @@ class TestFunctorValue:
             for sizes in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
                           (0, 0, 0, 1), (1, 1, 0, 0), (0, 0, 0, 0)):
                 assert single.value(sizes) == divided.value(sizes)
-            for slot in range(4):
-                for limit in range(3):
-                    assert single.slot_sizes(slot, limit) == divided.slot_sizes(slot, limit)
+            for total in range(3):
+                assert single.support(total) == divided.support(total)
 
     def test_exponents_are_set_when_built(self):
         # a plain attribute, not a cached_property (which locks on first
@@ -87,7 +87,7 @@ class TestFunctorValue:
                                       Exponential("h")], ids=str)
     def test_frozen_and_copied_whole(self, spec):
         # built by one update of the instance dict, which copy and pickle restore
-        for name in ("a", "color", "exponents", "lowest"):
+        for name in ("a", "color", "exponents"):
             with pytest.raises(FrozenInstanceError):
                 setattr(spec, name, 1)
         for twin in (copy.copy(spec), pickle.loads(pickle.dumps(spec)),
@@ -107,14 +107,29 @@ class TestFunctorValue:
             Element({tuple(exponents): 1})
         assert str(built.value) == str(element.value)
 
-    def test_bounds_are_data(self):
-        assert (DividedPower(1, 0, 2, 0).lowest, DividedPower(1, 0, 2, 0).highest) == (
-            (1, 0, 2, 0), (1, 0, 2, 0))
-        assert (Singleton("h").lowest, Singleton("h").highest) == ((0, 0, 0, 1), (0, 0, 0, 1))
-        assert (Exponential("y").lowest, Exponential("y").highest) == (
-            (0, 0, 0, 0), (0, None, 0, 0))
-        assert Exponential("y").slot_sizes(1, 7) == range(8)
-        assert DividedPower(0, 3, 0, 0).slot_sizes(1, 2) == range(0)
+    def test_supports(self):
+        assert DividedPower(1, 0, 2, 0).support(3) == ((1, 0, 2, 0),)
+        assert DividedPower(0, 3, 0, 0).support(2) == ()
+        assert Singleton("h").support(1) == ((0, 0, 0, 1),)
+        assert Singleton("h").support(0) == ()
+        assert Exponential("y").support(2) == ((0, 0, 0, 0), (0, 1, 0, 0), (0, 2, 0, 0))
+        assert Exponential("y").support(0) == ((0, 0, 0, 0),)
+
+    @pytest.mark.parametrize("spec, value", [(Exponential("x"), 1),
+                                             (DividedPower(1, 0, 0, 0), 0)], ids=str)
+    def test_value_does_not_grow_with_the_sizes(self, spec, value):
+        # value compares the sizes and never lists a support (exp(x)'s has
+        # 10**12 + 1 tuples under this total); the alarm ends a walk within 1 s
+        def expire(signum, frame):
+            raise TimeoutError(f"{spec}.value took more than 1 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 1)
+        try:
+            assert spec.value((10**12, 0, 0, 0)) == value
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("kind", [Singleton, Exponential])
     @pytest.mark.parametrize("color", ["xy", "", "X", "exp(x)", 0])
@@ -125,7 +140,7 @@ class TestFunctorValue:
         assert str(info.value) == message
 
     def test_value_is_each_kinds_definition(self):
-        # each kind's definition stated directly, without slot_sizes
+        # each kind's definition stated directly, and its support listed from it
         def definition(spec, sizes):
             if isinstance(spec, Exponential):
                 own = COLORS.index(spec.color)
@@ -136,26 +151,19 @@ class TestFunctorValue:
         for spec in specs:
             for sizes in size_tuples(4):
                 assert spec.value(sizes) == definition(spec, sizes), (spec, sizes)
+            assert set(spec.support(4)) == {s for s in size_tuples(4) if spec.value(s)}, spec
 
 
-class TestProfiles:
-    """The contract of ``_profiles`` that ``star_species`` relies on."""
+class TestWalks:
+    """species_element walks the structures and adds each count at its sizes;
+    star_species solves the structures of one size tuple.  Both call _count."""
 
-    def test_every_profile_is_a_nonzero_structure_up_to_total_5(self):
+    def test_species_element_is_star_species_at_every_size_up_to_total_6(self):
         for F in SMALL_SPECS:
             for G in SMALL_SPECS:
-                for sizes in size_tuples(5):
-                    for weight, *blocks in species._profiles(F, G, sizes):
-                        xs, ys, zs, hs = blocks
-                        (x1, x2), (y1, y2, y3), (z2, z1) = xs, ys, zs
-                        h3, h1, h2, h5, h6, h4 = hs
-                        # the last block of each color takes the labels left
-                        assert all(k >= 0 for block in blocks for k in block)
-                        assert tuple(map(sum, blocks)) == tuple(sizes)
-                        assert y3 + h4 == h3
-                        assert F.value((x1, y1 + h5, z1 + h3, h1)) == 1
-                        assert G.value((x2 + h3, y2 + h6, z2, h2)) == 1
-                        assert weight != 0, (F, G, sizes, blocks)
+                walked = species_element(F, G, 6)
+                for sizes in size_tuples(6):
+                    assert walked.coefficient(sizes) == star_species(F, G, sizes), (F, G, sizes)
 
 
 class TestAscendingMapsCount:
@@ -318,15 +326,10 @@ SIZES_7 = list(size_tuples(7))
 @st.composite
 def functor_pair_and_sizes(draw):
     F, G = draw(FUNCTORS), draw(FUNCTORS)
-    # size tuples that the pair's lowest sizes exclude, which _profiles
-    # rejects before it walks: x1 needs F's lowest x, z2 G's lowest z, h1 and
-    # h2 F's and G's lowest h, and at the lowest x of F (z of G) y1 (y2)
-    # takes all of F's (G's) lowest y
-    (fx, fy, _, fh), (_, gy, gz, gh) = F.lowest, G.lowest
-    below = [s for s in SIZES_7 if s[0] < fx or s[2] < gz or s[3] < fh + gh
-             or (fy if s[0] == fx else 0) + (gy if s[2] == gz else 0) > s[1]]
-    if below and draw(st.booleans()):
-        return F, G, draw(st.sampled_from(below))
+    # any size tuple: for most of them no pair of arguments from the two
+    # supports solves to a t and a pool, and star_species must give 0
+    if draw(st.booleans()):
+        return F, G, draw(st.sampled_from(SIZES_7))
     # the product keeps the total degree and the weight nx - nz, so most
     # size tuples give 0; aim at the degree and weight the pair can reach
     fixed = [spec.exponents for spec in (F, G) if hasattr(spec, "exponents")]
@@ -340,7 +343,7 @@ def functor_pair_and_sizes(draw):
 
 
 class TestAgainstReference:
-    """Profiles first, labels second, against the frozenset walk."""
+    """Block sizes first, labels second, against the frozenset walk."""
 
     @settings(max_examples=600, deadline=None)
     @given(functor_pair_and_sizes())
@@ -406,7 +409,7 @@ class TestCoefficientCheck:
                 assert species_coefficient_check(left, right, 4).ok
 
     def test_mixed_functor_kinds(self):
-        # one unbounded side exercises the generic slot pruning
+        # one side with a support of more than one tuple
         cases = [
             (Exponential("z"), Singleton("x")),
             (Exponential("z"), DividedPower(2, 0, 0, 0)),
@@ -427,10 +430,11 @@ class TestCoefficientCheck:
         assert report.max_total == 2
 
     def test_mismatches_in_size_order(self, monkeypatch):
-        real = species.star_species
+        # _count is called once for each of these sizes of z * x
+        real = species._count
         bumped = {(0, 1, 0, 1), (1, 0, 1, 0)}
-        monkeypatch.setattr(species, "star_species", lambda F, G, sizes:
-                            real(F, G, sizes) + (tuple(sizes) in bumped))
+        monkeypatch.setattr(species, "_count", lambda fa, ga, t, pool, sizes:
+                            real(fa, ga, t, pool, sizes) + (tuple(sizes) in bumped))
         report = species_coefficient_check(Singleton("z"), Singleton("x"), 3)
         assert not report.ok
         assert report.checked == 35
